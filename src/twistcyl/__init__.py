@@ -7,8 +7,8 @@ ODE-integration oracles.
 """
 
 from .errors import (ConfigError, EigensolverFailure, IntegratorFailure,
-                     NoPropagatingChannel, QuadratureFailure, SingularMatch,
-                     SingularMetric, ThresholdDegeneracy, TwistCylError)
+                     NoPropagatingChannel, QuadratureFailure, SingularMetric,
+                     ThresholdDegeneracy, TwistCylError)
 from .geometry import (COVARIANT, CONTRAVARIANT, CurvatureData,
                        CylinderGeometry, DisplacementField, Metric2,
                        PhysicsParams, Strain2, TwistProfile,
@@ -17,10 +17,9 @@ from .geometry import (COVARIANT, CONTRAVARIANT, CurvatureData,
                        strain_from_linear_twist, surface_curvatures,
                        twisted_metric, undeformed_metric)
 from .numeric import (FDGrid, fd_bound_spectrum, fd_eigenpairs,
-                      integrate_adaptive, ode_transmission_oracle,
-                      solve_linear_complex)
-from .scattering import (RegionRoots, ScatteringScenario, ScatteringSolution,
-                         SweepPoint, outside_wavevector, probability_current,
+                      integrate_adaptive, ode_transmission_oracle)
+from .scattering import (ScatteringScenario, ScatteringSolution, SweepPoint,
+                         outside_wavevector, probability_current,
                          region_roots, solve_scattering, transmission_sweep)
 from .spectrum import (EffectivePotentialValue, ModeNumbers,
                        WavefunctionSample, bound_wavefunction,
@@ -32,8 +31,8 @@ __all__ = [
     "ConfigError", "CurvatureData", "CylinderGeometry", "DisplacementField",
     "EffectivePotentialValue", "EigensolverFailure", "FDGrid",
     "IntegratorFailure", "Metric2", "ModeNumbers", "NoPropagatingChannel",
-    "PhysicsParams", "QuadratureFailure", "RegionRoots", "ScatteringScenario",
-    "ScatteringSolution", "SingularMatch", "SingularMetric", "Strain2",
+    "PhysicsParams", "QuadratureFailure", "ScatteringScenario",
+    "ScatteringSolution", "SingularMetric", "Strain2",
     "SweepPoint", "ThresholdDegeneracy", "TwistCylError", "TwistProfile",
     "WavefunctionSample", "bound_wavefunction", "da_costa_potential",
     "effective_potential", "eigenenergy", "fd_bound_spectrum",
@@ -41,7 +40,7 @@ __all__ = [
     "inverse_metric", "list_bound_states", "metric_from_embedding_fd",
     "metric_from_strain", "no_bound_states_below", "ode_transmission_oracle",
     "outside_wavevector", "probability_current", "region_roots",
-    "solve_linear_complex", "solve_scattering", "strain_from_linear_twist",
+    "solve_scattering", "strain_from_linear_twist",
     "surface_curvatures", "transmission_sweep", "twist_phase",
     "twisted_metric", "undeformed_metric",
 ]

@@ -2,10 +2,10 @@
 
 Run configurations are flat INI-style documents, UTF-8, with ``[section]``
 headers and ``key = value`` pairs; full-line comments start with ``#`` or
-``;``. Unknown sections or keys are rejected. In the ``electron_nm_eV``
-unit preset, numeric values accept a unit suffix (``radius = 2 nm``,
-``alpha = 0.5 1/nm``, ``min = 10 meV``); in natural units suffixes are
-errors.
+``;``. Unknown sections or keys are rejected, and so are non-finite numbers.
+In the ``electron_nm_eV`` unit preset, numeric values accept a unit suffix
+(``radius = 2 nm``, ``alpha = 0.5 1/nm``, ``min = 10 meV``); in natural
+units suffixes are errors.
 
 Outputs are deterministic: identical config and command produce identical
 bytes. Data files carry no timestamps, only a schema tag and the SHA-256 of
@@ -20,9 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,7 +87,6 @@ class RunConfig:
     wavefunction: WavefunctionSpec | None
     output_path: str | None
     output_format: str
-    threads: int
     config_sha256: str
     echo: dict
 
@@ -138,6 +135,8 @@ def _parse_float(raw: str, lineno: int, unit_system: str,
         value = float(num)
     except ValueError:
         raise ConfigError(f"expected a number, got {num!r}", lineno) from None
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {num!r}", lineno)
     if unit is None:
         return value
     if kind not in _UNIT_TABLES:
@@ -310,7 +309,7 @@ def parse_config(text: str) -> RunConfig:
         command=command, physics=physics, geometry=geometry, twist=twist,
         n_max=n_max, l_max=l_max, scattering_l=scattering_l,
         energy_grid=energy_grid, sweep=sweep, wavefunction=wavefunction,
-        output_path=output_path, output_format=output_format, threads=0,
+        output_path=output_path, output_format=output_format,
         config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         echo=echo)
 
@@ -366,15 +365,6 @@ def _emit(config: RunConfig, schema: str, header, rows) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _map_ordered(fn, items, threads: int) -> list:
-    if threads == 0:
-        threads = min(4, os.cpu_count() or 1)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _require_geometry(config: RunConfig) -> CylinderGeometry:
@@ -454,9 +444,8 @@ def _run_sweep(config: RunConfig) -> None:
         return maker(CylinderGeometry(value, geom.length), alpha,
                      config.scattering_l, config.physics)
 
-    sweeps = _map_ordered(
-        lambda value: transmission_sweep(scenario_at(value), energies),
-        list(spec.values), config.threads)
+    sweeps = [transmission_sweep(scenario_at(value), energies)
+              for value in spec.values]
 
     header = ["energy"]
     for value in spec.values:
@@ -518,8 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None,
                          help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default=None)
-        cmd.add_argument("--threads", type=int, default=0,
-                         help="worker threads for sweeps, 0 = auto")
     return parser
 
 
@@ -542,8 +529,7 @@ def main(argv=None) -> int:
         config = replace(
             config, command=args.command,
             output_path=args.out or config.output_path,
-            output_format=args.format or config.output_format,
-            threads=max(0, args.threads))
+            output_format=args.format or config.output_format)
         return run(config)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

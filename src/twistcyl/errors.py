@@ -21,10 +21,6 @@ class NoPropagatingChannel(TwistCylError):
     """No propagating mode exists outside the twisted section at this energy."""
 
 
-class SingularMatch(TwistCylError):
-    """Linear interface-matching system is singular or numerically rank deficient."""
-
-
 class EigensolverFailure(TwistCylError):
     """Inverse iteration failed to converge or produced a non-real spectrum."""
 

@@ -1,10 +1,11 @@
 """Numerical kernels and independent oracles.
 
-Contains the complex dense solver used by the interface-matching system, a
-finite-difference eigensolver for the longitudinal mode equation (the cross
-check on the closed-form spectrum), a direct ODE-integration transmission
-oracle (the cross check on the closed-form scattering solution), and an
-adaptive Simpson quadrature used for twist-phase integrals.
+Contains a finite-difference eigensolver for the longitudinal mode equation
+(the cross check on the closed-form spectrum), a direct ODE-integration
+transmission oracle (the cross check on the closed-form scattering solution),
+and an adaptive Simpson quadrature used for twist-phase integrals. The scipy
+modules behind the two oracles are imported where they are used, so that
+importing the package does not pay for them.
 """
 
 from __future__ import annotations
@@ -13,62 +14,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
 
 from .errors import (EigensolverFailure, IntegratorFailure,
-                     NoPropagatingChannel, QuadratureFailure, SingularMatch)
+                     NoPropagatingChannel, QuadratureFailure)
 from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                        da_costa_potential, surface_curvatures)
 
-_PIVOT_RTOL = 1e-14
 _EIG_MAX_ITER = 80
-
-
-def solve_linear_complex(a, b) -> np.ndarray:
-    """Solve the small dense complex system a x = b.
-
-    Gaussian elimination with partial pivoting; raises SingularMatch when a
-    pivot falls below 1e-14 times the largest entry of a. For the
-    well-conditioned systems this package assembles, the residual satisfies
-    ||a x - b||_inf <= 1e-10 ||b||_inf with lots of headroom.
-    """
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if b.shape != (n,):
-        raise ValueError("right-hand side does not match the matrix")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("matrix and right-hand side must be finite")
-
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        raise SingularMatch("zero matrix")
-    tol = _PIVOT_RTOL * scale
-
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = abs(a[p, k])
-        if pivot <= tol:
-            raise SingularMatch(
-                f"pivot {pivot:.3e} below {tol:.3e}"
-                f" (condition at least {scale / max(pivot, 1e-300):.3e})")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        for i in range(k + 1, n):
-            if a[i, k] != 0.0:
-                lam = a[i, k] / a[k, k]
-                a[i, k + 1:] -= lam * a[k, k + 1:]
-                b[i] -= lam * b[k]
-                a[i, k] = 0.0
-
-    x = np.zeros(n, dtype=complex)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
 
 
 @dataclass(frozen=True)
@@ -140,6 +92,8 @@ def _inverse_iteration(lower, diag, upper, shift, seed):
     twist makes the matrix non-Hermitian. Convergence is judged on the
     residual, whose floor is set by rounding at the matrix scale.
     """
+    from scipy.linalg import solve_banded
+
     n = diag.size
     ab = np.zeros((3, n), dtype=complex)
     ab[0, 1:] = upper
@@ -246,6 +200,8 @@ def ode_transmission_oracle(energy: float, scenario, rtol: float = 1e-10,
     route shares nothing with the closed-form root/matching solution beyond
     the scenario definition.
     """
+    from scipy.integrate import solve_ivp
+
     thr = scenario.outside_threshold
     if energy <= thr:
         raise NoPropagatingChannel(

@@ -12,12 +12,23 @@ Inside the section Z(z) = A e^{r1 z} + B e^{r2 z} with
 
     r_{1,2} = i l a -/+ sqrt((2m/hbar^2)(V_eff - E) - l^2 a^2),
 
-principal square root (nonnegative imaginary part), so r1 is the decaying or
-backward mode and r2 the growing or forward one. The four matching equations
-are assembled literally from wavefunction continuity plus the
-current-continuity derivative conditions; no twist terms are cancelled by
-hand, so the twist insensitivity of the transmission emerges from the solve
-rather than being built in.
+principal square root (nonnegative real and imaginary parts), so r1 is the
+decaying or backward mode and r2 the growing or forward one. The four
+matching equations are assembled literally from wavefunction continuity plus
+the current-continuity derivative conditions; no twist terms are cancelled
+by hand, so the twist insensitivity of the transmission emerges from the
+solve rather than being built in.
+
+The solve uses the scaled basis
+
+    Z_II = A e^{r1 z} + B~ e^{r2 (z-L)},    Z_III = t~ e^{ik(z-L)},
+
+which writes the growing mode about the far interface (Ko & Inkson, PRB 38,
+9945 (1988)). Every exponential in the matching matrix then has modulus at
+most one, so deep tunnelling through long sections stays well conditioned
+instead of overflowing like e^{|r| L}. The public amplitudes
+B = B~ e^{-r2 L} and t = t~ e^{-ikL} are recovered afterwards; both are
+bounded.
 """
 
 from __future__ import annotations
@@ -26,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPropagatingChannel, SingularMatch, ThresholdDegeneracy
+from .errors import NoPropagatingChannel, ThresholdDegeneracy
 from .geometry import CylinderGeometry, PhysicsParams
-from .numeric import solve_linear_complex
 from .spectrum import ModeNumbers, effective_potential, gauge_potential_star
 
 EMBEDDED_CYLINDER = "embedded_cylinder"
@@ -85,20 +95,8 @@ class ScatteringScenario:
 
 
 @dataclass(frozen=True)
-class RegionRoots:
-    """Complex wavevectors of the two region-II modes; r1 + r2 = 2 i l a."""
-
-    r1: complex
-    r2: complex
-
-
-@dataclass(frozen=True)
 class ScatteringSolution:
-    """Amplitudes and probabilities of one solved energy.
-
-    Currents are reported in units of the incident flux hbar k / m, so
-    ``current_in`` is 1 - |r|^2 and ``current_out`` is |t|^2 up to rounding.
-    """
+    """Amplitudes and probabilities of one solved energy."""
 
     r: complex
     t: complex
@@ -106,8 +104,6 @@ class ScatteringSolution:
     B: complex
     transmission: float
     reflection: float
-    current_in: float
-    current_out: float
 
 
 @dataclass(frozen=True)
@@ -118,34 +114,40 @@ class SweepPoint:
     flag: str
 
 
-def region_roots(energy: float, scenario: ScatteringScenario) -> RegionRoots:
-    """Roots r_{1,2} of the region-II mode equation at the given energy.
+def region_roots(energies, scenario: ScatteringScenario):
+    """Roots (r1, r2) of the region-II mode equation at each energy.
 
     Assembled from the raw twist-carrying potential; the l^2 a^2 under the
     square root cancels against the centrifugal g_zz term, which is exactly
-    why the magnitude dynamics is twist free.
+    why the magnitude dynamics is twist free. Raises ThresholdDegeneracy if
+    the two roots coalesce at any of the energies.
     """
+    energies = np.asarray(energies, dtype=float)
     phys = scenario.phys
     v_eff = effective_potential(scenario.mode, scenario.geom, scenario.alpha,
                                 phys).value
     l_alpha = scenario.mode.l * scenario.alpha
-    arg = (v_eff - energy) / phys.hbar2_over_2m - l_alpha**2
-    root = np.sqrt(complex(arg))  # principal branch: Im(root) >= 0
+    arg = (v_eff - energies) / phys.hbar2_over_2m - l_alpha**2
+    root = np.sqrt(arg.astype(complex))  # principal branch: Re, Im >= 0
     r1 = 1j * l_alpha - root
     r2 = 1j * l_alpha + root
-    if abs(r1 - r2) < 1e-12 * max(1.0, abs(r1), abs(r2)):
+    close = np.abs(r1 - r2) < 1e-12 * np.maximum(
+        1.0, np.maximum(np.abs(r1), np.abs(r2)))
+    if np.any(close):
         raise ThresholdDegeneracy(
-            f"degenerate region roots at energy {energy}")
-    return RegionRoots(r1=complex(r1), r2=complex(r2))
+            f"degenerate region roots at energy {energies[close].flat[0]}")
+    return r1, r2
 
 
-def outside_wavevector(energy: float, scenario: ScatteringScenario) -> float:
+def outside_wavevector(energies, scenario: ScatteringScenario):
     """Wavevector of the propagating outside channel; raises below threshold."""
+    energies = np.asarray(energies, dtype=float)
     thr = scenario.outside_threshold
-    if energy <= thr:
+    if np.any(energies <= thr):
         raise NoPropagatingChannel(
-            f"energy {energy} at or below the propagation threshold {thr}")
-    return float(np.sqrt((energy - thr) / scenario.phys.hbar2_over_2m))
+            f"energy {energies[energies <= thr].flat[0]} at or below the "
+            f"propagation threshold {thr}")
+    return np.sqrt((energies - thr) / scenario.phys.hbar2_over_2m)
 
 
 def probability_current(z_val: complex, z_deriv: complex, l: int, alpha: float,
@@ -162,6 +164,39 @@ def probability_current(z_val: complex, z_deriv: complex, l: int, alpha: float,
     return float(standard.real - twist_term)
 
 
+def _solve_batch(energies: np.ndarray, scenario: ScatteringScenario):
+    """Amplitudes (r, A, B, t) at energies that all have an open channel.
+
+    Solves the (N, 4, 4) matching system in the scaled basis of the module
+    docstring with one LAPACK call and converts back to the public
+    amplitudes. The caller keeps threshold-window energies out: coalescing
+    roots make a matrix exactly singular, which fails the whole batch.
+    """
+    k = outside_wavevector(energies, scenario)
+    r1, r2 = region_roots(energies, scenario)
+    l_alpha = scenario.mode.l * scenario.alpha
+    length = scenario.geom.length
+    ik = 1j * k
+    e1 = np.exp(r1 * length)    # decaying mode across the section
+    e2 = np.exp(-r2 * length)   # growing mode, written about z = L
+    one = np.ones_like(ik)
+    zero = np.zeros_like(ik)
+
+    # unknowns x = (r, A, B e^{r2 L}, t e^{ikL})
+    matrix = np.stack([
+        np.stack([-one, one, e2, zero], axis=-1),
+        np.stack([ik, r1 - 1j * l_alpha, (r2 - 1j * l_alpha) * e2, zero],
+                 axis=-1),
+        np.stack([zero, e1, one, -one], axis=-1),
+        np.stack([zero, (r1 - 1j * l_alpha) * e1, r2 - 1j * l_alpha, -ik],
+                 axis=-1),
+    ], axis=-2)
+    rhs = np.stack([one, ik, zero, zero], axis=-1)
+    r_amp, a_amp, b_scaled, t_scaled = np.linalg.solve(
+        matrix, rhs[..., None])[..., 0].T
+    return r_amp, a_amp, b_scaled * e2, t_scaled * np.exp(-ik * length)
+
+
 def solve_scattering(energy: float, scenario: ScatteringScenario) -> ScatteringSolution:
     """Solve the four interface-matching equations for (r, A, B, t).
 
@@ -169,45 +204,16 @@ def solve_scattering(energy: float, scenario: ScatteringScenario) -> ScatteringS
     Z_III = t e^{ikz}, with continuity of Z and of the probability current at
     z = 0 and z = L. The incident amplitude is fixed to one.
     """
-    k = outside_wavevector(energy, scenario)
+    outside_wavevector(energy, scenario)  # a closed channel is refused first
     if abs(energy - scenario.inside_threshold) < THRESHOLD_WINDOW:
         raise ThresholdDegeneracy(
             f"energy {energy} within {THRESHOLD_WINDOW} of the threshold "
             f"{scenario.inside_threshold}")
-    roots = region_roots(energy, scenario)
-    r1, r2 = roots.r1, roots.r2
-    l_alpha = scenario.mode.l * scenario.alpha
-    length = scenario.geom.length
-    ik = 1j * k
-    e1 = np.exp(r1 * length)
-    e2 = np.exp(r2 * length)
-    ek = np.exp(ik * length)
-
-    # unknowns x = (r, A, B, t)
-    matrix = np.array([
-        [-1.0, 1.0, 1.0, 0.0],
-        [ik, r1 - 1j * l_alpha, r2 - 1j * l_alpha, 0.0],
-        [0.0, e1, e2, -ek],
-        [0.0, (r1 - 1j * l_alpha) * e1, (r2 - 1j * l_alpha) * e2, -ik * ek],
-    ], dtype=complex)
-    rhs = np.array([1.0, ik, 0.0, 0.0], dtype=complex)
-    try:
-        x = solve_linear_complex(matrix, rhs)
-    except SingularMatch as exc:
-        raise SingularMatch(
-            f"interface matching singular at energy {energy}: {exc}") from exc
-    r_amp, a_amp, b_amp, t_amp = (complex(v) for v in x)
-
-    phys = scenario.phys
-    flux_unit = phys.hbar * k / phys.mass
-    j_in = probability_current(1.0 + r_amp, ik * (1.0 - r_amp), scenario.mode.l,
-                               0.0, phys)
-    j_out = probability_current(t_amp * ek, ik * t_amp * ek, scenario.mode.l,
-                                0.0, phys)
+    r_amp, a_amp, b_amp, t_amp = (
+        complex(v[0]) for v in _solve_batch(np.array([energy]), scenario))
     return ScatteringSolution(
         r=r_amp, t=t_amp, A=a_amp, B=b_amp,
-        transmission=abs(t_amp)**2, reflection=abs(r_amp)**2,
-        current_in=j_in / flux_unit, current_out=j_out / flux_unit)
+        transmission=abs(t_amp)**2, reflection=abs(r_amp)**2)
 
 
 def transmission_sweep(scenario: ScatteringScenario,
@@ -216,24 +222,28 @@ def transmission_sweep(scenario: ScatteringScenario,
 
     Points without a propagating outside channel are reported with the
     sub_threshold flag and the convention T = 0, R = 1; points inside the
-    degenerate-roots window get the degenerate flag and NaN probabilities.
+    degenerate-roots window, or whose solve is not finite, get the
+    degenerate flag and NaN probabilities. All other points are solved in
+    one batch.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or energies.size < 1:
         raise ValueError("need a one-dimensional energy grid")
     if energies.size > 1 and not np.all(np.diff(energies) > 0.0):
         raise ValueError("energy grid must be strictly increasing")
-    points = []
-    for energy in energies:
-        energy = float(energy)
-        try:
-            sol = solve_scattering(energy, scenario)
-        except NoPropagatingChannel:
-            points.append(SweepPoint(energy, 0.0, 1.0, FLAG_SUB_THRESHOLD))
-        except (ThresholdDegeneracy, SingularMatch):
-            points.append(SweepPoint(energy, float("nan"), float("nan"),
-                                     FLAG_DEGENERATE))
-        else:
-            points.append(SweepPoint(energy, sol.transmission, sol.reflection,
-                                     FLAG_OK))
-    return points
+    sub = energies <= scenario.outside_threshold
+    degenerate = ~sub & (np.abs(energies - scenario.inside_threshold)
+                         < THRESHOLD_WINDOW)
+    live = ~(sub | degenerate)
+    trans = np.zeros(energies.size)
+    refl = np.ones(energies.size)
+    r_amp, _, _, t_amp = _solve_batch(energies[live], scenario)
+    trans[live] = np.abs(t_amp)**2
+    refl[live] = np.abs(r_amp)**2
+    degenerate |= ~(np.isfinite(trans) & np.isfinite(refl))
+    trans[degenerate] = np.nan
+    refl[degenerate] = np.nan
+    flags = np.where(sub, FLAG_SUB_THRESHOLD,
+                     np.where(degenerate, FLAG_DEGENERATE, FLAG_OK))
+    return [SweepPoint(*point) for point in zip(
+        energies.tolist(), trans.tolist(), refl.tolist(), flags.tolist())]

@@ -16,7 +16,7 @@ from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                        strain_from_linear_twist, surface_curvatures,
                        twisted_metric, undeformed_metric)
 from .numeric import (FDGrid, fd_bound_spectrum, integrate_adaptive,
-                      ode_transmission_oracle, solve_linear_complex)
+                      ode_transmission_oracle)
 from .scattering import (FLAG_OK, ScatteringScenario, solve_scattering,
                          transmission_sweep)
 from .spectrum import (ModeNumbers, bound_wavefunction, eigenenergy,
@@ -202,18 +202,6 @@ def _check_cross_oracle():
     return worst <= 1e-8, f"max closed-form vs ODE deviation {worst:.2e}"
 
 
-def _check_linear_solver():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(200):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=4) + 1j * rng.normal(size=4)
-        x = solve_linear_complex(a, b)
-        res = np.max(np.abs(a @ x - b)) / np.max(np.abs(b))
-        worst = max(worst, float(res))
-    return worst <= 1e-10, f"max scaled residual {worst:.2e} (tol 1e-10)"
-
-
 def _check_quadrature():
     worst = max(abs(integrate_adaptive(lambda x: x, 0.0, 1.0) - 0.5),
                 abs(integrate_adaptive(np.sin, 0.0, np.pi) - 2.0),
@@ -236,7 +224,6 @@ _CHECKS = (
     ("free-twist-invariance", _check_free_alpha),
     ("free-resonances", _check_resonances),
     ("scattering-ode-oracle", _check_cross_oracle),
-    ("linear-solver-residual", _check_linear_solver),
     ("quadrature-knowns", _check_quadrature),
 )
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import twistcyl
 from twistcyl.cli import default_config, main, parse_config
 from twistcyl.errors import ConfigError
 from twistcyl.geometry import ELECTRON_NM_EV
@@ -64,6 +68,36 @@ def test_parse_rejects_type_mismatch_with_line():
     bad = MINIMAL.replace("length = 1.0", "length = long")
     with pytest.raises(ConfigError, match="line 3"):
         parse_config(bad)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("radius = 1.0", "radius = nan"),
+    ("[geometry]", "[physics]\nhbar = nan\n\n[geometry]"),
+    ("alpha = 0.5", "alpha = nan"),
+    ("max = 5.0", "max = inf"),
+    ("min = 0.01", "min = -inf"),
+    ("l = 1\n", "l = 1\n\n[sweep]\nscenario = free\nvary = alpha\n"
+                 "values = 0, inf\n"),
+], ids=["radius", "hbar", "alpha", "max", "min", "sweep-value"])
+def test_non_finite_number_is_config_error(tmp_path, old, new):
+    text = SCATTER.replace(old, new, 1)
+    assert text != SCATTER
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(text)
+    cfg = write(tmp_path, "run.ini", text)
+    command = "sweep" if "[sweep]" in text else "scatter-free"
+    assert main([command, "--config", cfg]) == 1
+
+
+def test_import_leaves_oracle_scipy_modules_unloaded():
+    # a fresh interpreter, importing the same twistcyl this process imported
+    src = os.path.dirname(os.path.dirname(twistcyl.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import twistcyl.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_parse_rejects_duplicate_key():
@@ -196,11 +230,11 @@ values = 0, 1, 2
 """)
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out1),
-                 "--threads", "3"]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out2),
-                 "--threads", "1"]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # the thread option is gone; an unknown option is a config error
+    assert main(["sweep", "--config", cfg, "--threads", "2"]) == 1
 
 
 def test_wavefunction_artifact(tmp_path):

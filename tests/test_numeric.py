@@ -1,60 +1,16 @@
 import numpy as np
 import pytest
 
-from twistcyl.errors import (NoPropagatingChannel, QuadratureFailure,
-                             SingularMatch)
+from twistcyl.errors import NoPropagatingChannel, QuadratureFailure
 from twistcyl.geometry import CylinderGeometry, PhysicsParams, TwistProfile
 from twistcyl.numeric import (FDGrid, fd_bound_spectrum, fd_eigenpairs,
-                              integrate_adaptive, ode_transmission_oracle,
-                              solve_linear_complex)
+                              integrate_adaptive, ode_transmission_oracle)
 from twistcyl.scattering import ScatteringScenario, solve_scattering
 from twistcyl.spectrum import (ModeNumbers, eigenenergy,
                                no_bound_states_below, twist_phase)
 
 PHYS = PhysicsParams()
 GEOM = CylinderGeometry(radius=1.0, length=1.0)
-
-
-# --- complex linear solver ---------------------------------------------------
-
-def test_solver_identity():
-    b = np.array([1.0 + 2j, -0.5, 3j])
-    assert np.array_equal(solve_linear_complex(np.eye(3), b), b)
-
-
-def test_solver_hermitian_2x2():
-    a = np.array([[1.0, 1j], [-1j, 2.0]])
-    x = solve_linear_complex(a, np.array([1.0, 0.0]))
-    assert np.allclose(x, [2.0, 1j], atol=1e-14)
-
-
-def test_solver_rank_deficient():
-    with pytest.raises(SingularMatch):
-        solve_linear_complex(np.array([[1.0, 1.0], [1.0, 1.0]]),
-                             np.array([1.0, 0.0]))
-
-
-def test_solver_needs_pivoting():
-    # zero leading pivot is fine once rows are swapped
-    a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    x = solve_linear_complex(a, np.array([2.0, 3.0]))
-    assert np.allclose(x, [3.0, 2.0], atol=0.0)
-
-
-def test_solver_residuals_on_random_systems():
-    rng = np.random.default_rng(31)
-    for _ in range(1000):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=4) + 1j * rng.normal(size=4)
-        x = solve_linear_complex(a, b)
-        assert np.max(np.abs(a @ x - b)) <= 1e-10 * np.max(np.abs(b))
-
-
-def test_solver_input_validation():
-    with pytest.raises(ValueError):
-        solve_linear_complex(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
-        solve_linear_complex(np.eye(2), np.zeros(3))
 
 
 # --- adaptive quadrature -----------------------------------------------------
