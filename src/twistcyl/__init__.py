@@ -18,7 +18,7 @@ from .geometry import (COVARIANT, CONTRAVARIANT, CurvatureData,
                        twisted_metric, undeformed_metric)
 from .numeric import (FDGrid, fd_bound_spectrum, fd_eigenpairs,
                       integrate_adaptive, ode_transmission_oracle)
-from .scattering import (ScatteringScenario, ScatteringSolution, SweepPoint,
+from .scattering import (ScatteringScenario, ScatteringSolution, SweepResult,
                          outside_wavevector, probability_current,
                          region_roots, solve_scattering, transmission_sweep)
 from .spectrum import (EffectivePotentialValue, ModeNumbers,
@@ -33,7 +33,7 @@ __all__ = [
     "IntegratorFailure", "Metric2", "ModeNumbers", "NoPropagatingChannel",
     "PhysicsParams", "QuadratureFailure", "ScatteringScenario",
     "ScatteringSolution", "SingularMetric", "Strain2",
-    "SweepPoint", "ThresholdDegeneracy", "TwistCylError", "TwistProfile",
+    "SweepResult", "ThresholdDegeneracy", "TwistCylError", "TwistProfile",
     "WavefunctionSample", "bound_wavefunction", "da_costa_potential",
     "effective_potential", "eigenenergy", "fd_bound_spectrum",
     "fd_eigenpairs", "gauge_potential_star", "integrate_adaptive",

@@ -319,47 +319,36 @@ def default_config(command: str) -> RunConfig:
     return replace(parse_config(""), command=command)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+# printf conversion for a column's numpy dtype kind; '%.12g' % x prints
+# the same digits as format(x, '.12g'), including nan, inf and -0
+_CELL = {"f": "%.12g", "i": "%d", "U": "%s"}
 
 
-def _json_value(value):
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, str):
-        return value
-    value = float(value)
-    return None if np.isnan(value) else value
+def _json_cells(column: np.ndarray) -> list:
+    """Python values of one column, NaN as None (JSON null)."""
+    if column.dtype.kind != "f":
+        return column.tolist()
+    cells = column.astype(object)
+    cells[np.isnan(column)] = None
+    return cells.tolist()
 
 
-def _render_csv(schema: str, config_hash: str, header, rows) -> str:
-    lines = [f"# schema: {schema}", f"# config-sha256: {config_hash}",
-             ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _render_json(schema: str, config_hash: str, header, rows, echo) -> str:
-    payload = {
-        "schema": schema,
-        "config_sha256": config_hash,
-        "config": echo,
-        "rows": [dict(zip(header, (_json_value(v) for v in row)))
-                 for row in rows],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(config: RunConfig, schema: str, header, rows) -> None:
+def _emit(config: RunConfig, schema: str, header, columns) -> None:
+    """Write equal-length columns (float, int or str arrays) as one artifact."""
+    columns = [np.asarray(column) for column in columns]
     if config.output_format == "json":
-        text = _render_json(schema, config.config_sha256, header, rows,
-                            config.echo)
+        rows = zip(*map(_json_cells, columns), strict=True)
+        text = json.dumps({
+            "schema": schema, "config_sha256": config.config_sha256,
+            "config": config.echo,
+            "rows": [dict(zip(header, row)) for row in rows],
+        }, sort_keys=True, indent=2) + "\n"
     else:
-        text = _render_csv(schema, config.config_sha256, header, rows)
+        template = ",".join(_CELL[column.dtype.kind] for column in columns)
+        rows = zip(*[column.tolist() for column in columns], strict=True)
+        text = "\n".join([f"# schema: {schema}",
+                          f"# config-sha256: {config.config_sha256}",
+                          ",".join(header), *map(template.__mod__, rows)]) + "\n"
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -388,10 +377,10 @@ def _constant_alpha(config: RunConfig) -> float:
 
 def _run_spectrum(config: RunConfig) -> None:
     geom = _require_geometry(config)
-    states = list_bound_states(geom, config.physics, config.n_max,
-                               config.l_max)
-    rows = [(mode.n, mode.l, energy) for mode, energy in states]
-    _emit(config, "twistcyl-spectrum-v1", ("n", "l", "energy"), rows)
+    modes, energies = zip(*list_bound_states(geom, config.physics,
+                                             config.n_max, config.l_max))
+    _emit(config, "twistcyl-spectrum-v1", ("n", "l", "energy"),
+          ([mode.n for mode in modes], [mode.l for mode in modes], energies))
 
 
 def _run_wavefunction(config: RunConfig) -> None:
@@ -400,14 +389,13 @@ def _run_wavefunction(config: RunConfig) -> None:
     sample = bound_wavefunction(ModeNumbers(l=spec.l, n=spec.n), geom,
                                 config.twist, config.physics,
                                 (spec.n_phi, spec.n_z))
-    density = sample.density()
-    rows = []
-    for j, z in enumerate(sample.z):
-        for i, phi in enumerate(sample.phi):
-            value = sample.values[i, j]
-            rows.append((phi, z, value.real, value.imag, density[i, j]))
+    # z-major rows: phi varies fastest, so the (phi, z) grids go transposed
+    values = sample.values.T.ravel()
     _emit(config, "twistcyl-wavefunction-v1",
-          ("phi", "z", "re_psi", "im_psi", "density"), rows)
+          ("phi", "z", "re_psi", "im_psi", "density"),
+          (np.tile(sample.phi, sample.z.size),
+           np.repeat(sample.z, sample.phi.size), values.real, values.imag,
+           sample.density().T.ravel()))
 
 
 def _scenario_for(config: RunConfig, kind: str) -> ScatteringScenario:
@@ -421,9 +409,9 @@ def _scenario_for(config: RunConfig, kind: str) -> ScatteringScenario:
 def _run_scatter(config: RunConfig, kind: str) -> None:
     scenario = _scenario_for(config, kind)
     energies = _require_grid(config)
-    points = transmission_sweep(scenario, energies)
-    rows = [(p.energy, p.transmission, p.reflection, p.flag) for p in points]
-    _emit(config, "twistcyl-scatter-v1", ("energy", "T", "R", "flag"), rows)
+    sweep = transmission_sweep(scenario, energies)
+    _emit(config, "twistcyl-scatter-v1", ("energy", "T", "R", "flag"),
+          (sweep.energy, sweep.transmission, sweep.reflection, sweep.flag))
 
 
 def _run_sweep(config: RunConfig) -> None:
@@ -444,21 +432,15 @@ def _run_sweep(config: RunConfig) -> None:
         return maker(CylinderGeometry(value, geom.length), alpha,
                      config.scattering_l, config.physics)
 
-    sweeps = [transmission_sweep(scenario_at(value), energies)
-              for value in spec.values]
-
+    value_fmt = _CELL[np.asarray(spec.values).dtype.kind]
     header = ["energy"]
+    columns = [energies]
     for value in spec.values:
-        label = f"{spec.vary}={_fmt(value)}"
-        header += [f"T[{label}]", f"R[{label}]", f"flag[{label}]"]
-    rows = []
-    for idx, energy in enumerate(energies):
-        row = [float(energy)]
-        for points in sweeps:
-            point = points[idx]
-            row += [point.transmission, point.reflection, point.flag]
-        rows.append(tuple(row))
-    _emit(config, "twistcyl-sweep-v1", tuple(header), rows)
+        tag = f"[{spec.vary}={value_fmt % value}]"
+        header += [f"T{tag}", f"R{tag}", f"flag{tag}"]
+        sweep = transmission_sweep(scenario_at(value), energies)
+        columns += [sweep.transmission, sweep.reflection, sweep.flag]
+    _emit(config, "twistcyl-sweep-v1", tuple(header), columns)
 
 
 def _run_validate(config: RunConfig) -> int:
@@ -537,7 +519,14 @@ def main(argv=None) -> int:
     except TwistCylError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # float overflow or division by zero
+        print(f"error: numerics: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

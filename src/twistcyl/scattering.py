@@ -107,11 +107,13 @@ class ScatteringSolution:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    energy: float
-    transmission: float
-    reflection: float
-    flag: str
+class SweepResult:
+    """Columns of a transmission sweep, one entry per energy of the grid."""
+
+    energy: np.ndarray
+    transmission: np.ndarray
+    reflection: np.ndarray
+    flag: np.ndarray  # str: FLAG_OK, FLAG_SUB_THRESHOLD or FLAG_DEGENERATE
 
 
 def region_roots(energies, scenario: ScatteringScenario):
@@ -217,7 +219,7 @@ def solve_scattering(energy: float, scenario: ScatteringScenario) -> ScatteringS
 
 
 def transmission_sweep(scenario: ScatteringScenario,
-                       energies) -> list[SweepPoint]:
+                       energies) -> SweepResult:
     """Solve every energy of a strictly increasing grid, never aborting.
 
     Points without a propagating outside channel are reported with the
@@ -245,5 +247,4 @@ def transmission_sweep(scenario: ScatteringScenario,
     refl[degenerate] = np.nan
     flags = np.where(sub, FLAG_SUB_THRESHOLD,
                      np.where(degenerate, FLAG_DEGENERATE, FLAG_OK))
-    return [SweepPoint(*point) for point in zip(
-        energies.tolist(), trans.tolist(), refl.tolist(), flags.tolist())]
+    return SweepResult(energies, trans, refl, flags)

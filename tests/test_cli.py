@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistcyl
-from twistcyl.cli import default_config, main, parse_config
+from twistcyl.cli import _emit, default_config, main, parse_config
 from twistcyl.errors import ConfigError
 from twistcyl.geometry import ELECTRON_NM_EV
 
@@ -318,3 +321,110 @@ def test_stdout_output_when_no_path(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[2] == "n,l,energy"
     assert len(lines) == 3 + 15
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("spectrum", "length", "1e-300"),
+    ("spectrum", "radius", "1e-300"),
+    ("scatter-free", "radius", "1e-300"),
+    ("spectrum", "radius", "1e200"),
+    ("scatter-free", "radius", "1e200"),
+])
+def test_arithmetic_error_is_numerics_exit(tmp_path, capsys, command, key,
+                                           value):
+    text = SCATTER.replace(f"{key} = 1.0", f"{key} = {value}", 1)
+    assert text != SCATTER
+    cfg = write(tmp_path, "run.ini", text)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerics: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["twistcyl", "twistcyl.cli"])
+def test_python_m_runs_the_cli(module):
+    src = os.path.dirname(os.path.dirname(twistcyl.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", module, "validate"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "OK: 15 of 15 checks passed"
+
+
+# The per-cell row renderer that the columnar one replaced, kept verbatim as
+# the byte-level reference for _emit.
+def _ref_fmt(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
+def _ref_json_value(value):
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, str):
+        return value
+    value = float(value)
+    return None if np.isnan(value) else value
+
+
+def _ref_render_csv(schema: str, config_hash: str, header, rows) -> str:
+    lines = [f"# schema: {schema}", f"# config-sha256: {config_hash}",
+             ",".join(header)]
+    lines.extend(",".join(_ref_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _ref_render_json(schema: str, config_hash: str, header, rows, echo) -> str:
+    payload = {
+        "schema": schema,
+        "config_sha256": config_hash,
+        "config": echo,
+        "rows": [dict(zip(header, (_ref_json_value(v) for v in row)))
+                 for row in rows],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+_CELL_DTYPES = {"f": np.float64, "i": np.int64, "U": str}
+_CELL_VALUES = {
+    "f": st.one_of(st.floats(), st.sampled_from([
+        float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324,
+        -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+        1.7976931348623157e308, 0.1, 1e-5, 123456789012.5])),
+    "i": st.integers(-2**63, 2**63 - 1),
+    "U": st.sampled_from(["ok", "sub_threshold", "degenerate"]),
+}
+
+
+@st.composite
+def tables(draw):
+    """Equal-length columns of mixed kinds, as Python lists."""
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from("fiU"), min_size=1, max_size=5))
+    return kinds, [draw(st.lists(_CELL_VALUES[kind], min_size=rows,
+                                 max_size=rows)) for kind in kinds]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tables())
+def test_emit_matches_per_cell_reference(tmp_path_factory, table):
+    kinds, columns = table
+    header = [f"c{i}" for i in range(len(columns))]
+    arrays = [np.array(column, dtype=_CELL_DTYPES[kind])
+              for kind, column in zip(kinds, columns)]
+    rows = list(zip(*columns))
+    out = tmp_path_factory.mktemp("emit") / "artifact"
+    base = replace(default_config("spectrum"), output_path=str(out))
+    _emit(replace(base, output_format="csv"), "test-v1", header, arrays)
+    assert out.read_bytes() == _ref_render_csv(
+        "test-v1", base.config_sha256, header, rows).encode("utf-8")
+    _emit(replace(base, output_format="json"), "test-v1", header, arrays)
+    assert out.read_bytes() == _ref_render_json(
+        "test-v1", base.config_sha256, header, rows,
+        base.echo).encode("utf-8")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcyl.errors import NoPropagatingChannel, ThresholdDegeneracy
 from twistcyl.geometry import CylinderGeometry, PhysicsParams
@@ -154,11 +156,9 @@ def test_unitarity_everywhere():
 
 def test_free_alpha_invariance_of_transmission():
     energies = np.linspace(0.5, 9.0, 120)
-    base = np.array([p.transmission for p in
-                     transmission_sweep(free(alpha=0.0, l=1), energies)])
+    base = transmission_sweep(free(alpha=0.0, l=1), energies).transmission
     for alpha in (0.25, 0.5, 1.0):
-        cur = np.array([p.transmission for p in
-                        transmission_sweep(free(alpha=alpha, l=1), energies)])
+        cur = transmission_sweep(free(alpha=alpha, l=1), energies).transmission
         assert np.max(np.abs(cur - base)) <= 1e-10
 
 
@@ -209,29 +209,28 @@ def test_solve_scattering_refuses_closed_channel():
 def test_sweep_flags_and_order():
     scenario = embedded(alpha=0.5, l=1)
     energies = np.linspace(0.01, 5.0, 40)
-    points = transmission_sweep(scenario, energies)
-    assert [p.energy for p in points] == list(energies)
-    flags = [p.flag for p in points]
-    onset = flags.index(FLAG_OK)
+    sweep = transmission_sweep(scenario, energies)
+    assert sweep.energy.tolist() == energies.tolist()
+    onset = sweep.flag.tolist().index(FLAG_OK)
     assert onset > 0
-    assert all(f == FLAG_SUB_THRESHOLD for f in flags[:onset])
-    assert all(f == FLAG_OK for f in flags[onset:])
-    for p in points:
-        if p.flag == FLAG_SUB_THRESHOLD:
-            assert p.transmission == 0.0 and p.reflection == 1.0
-        else:
-            assert abs(p.transmission + p.reflection - 1.0) <= 1e-10
+    assert np.all(sweep.flag[:onset] == FLAG_SUB_THRESHOLD)
+    assert np.all(sweep.flag[onset:] == FLAG_OK)
+    sub = sweep.flag == FLAG_SUB_THRESHOLD
+    assert np.all(sweep.transmission[sub] == 0.0)
+    assert np.all(sweep.reflection[sub] == 1.0)
+    assert np.all(np.abs(sweep.transmission[~sub] + sweep.reflection[~sub]
+                         - 1.0) <= 1e-10)
 
 
 def test_sweep_marks_degenerate_point():
     scenario = free(alpha=0.1, l=1)
     v_star = scenario.inside_threshold
     energies = np.array([v_star - 0.1, v_star, v_star + 0.1])
-    points = transmission_sweep(scenario, energies)
-    assert points[1].flag == FLAG_DEGENERATE
-    assert np.isnan(points[1].transmission)
-    assert points[0].flag == FLAG_OK  # tunneling is ordinary output
-    assert points[0].transmission < 1.0
+    sweep = transmission_sweep(scenario, energies)
+    assert sweep.flag[1] == FLAG_DEGENERATE
+    assert np.isnan(sweep.transmission[1])
+    assert sweep.flag[0] == FLAG_OK  # tunneling is ordinary output
+    assert sweep.transmission[0] < 1.0
 
 
 def test_sweep_rejects_unsorted_grid():
@@ -243,8 +242,8 @@ def test_embedded_onsets_increase_with_l():
     energies = np.linspace(0.01, 9.0, 300)
     onsets = []
     for l in (0, 1, 2):
-        points = transmission_sweep(embedded(alpha=0.5, l=l), energies)
-        onsets.append(next(p.energy for p in points if p.flag == FLAG_OK))
+        sweep = transmission_sweep(embedded(alpha=0.5, l=l), energies)
+        onsets.append(sweep.energy[sweep.flag == FLAG_OK][0])
     assert onsets[0] < onsets[1] < onsets[2]
 
 
@@ -253,8 +252,8 @@ def test_embedded_onsets_decrease_with_radius():
     onsets = []
     for radius in (0.5, 1.0, 2.0):
         scenario = embedded(alpha=0.5, l=1, geom=CylinderGeometry(radius, 1.0))
-        points = transmission_sweep(scenario, energies)
-        onsets.append(next(p.energy for p in points if p.flag == FLAG_OK))
+        sweep = transmission_sweep(scenario, energies)
+        onsets.append(sweep.energy[sweep.flag == FLAG_OK][0])
     assert onsets[0] > onsets[1] > onsets[2]
 
 
@@ -268,27 +267,65 @@ def tunnel(length):
 
 def test_deep_tunnelling_matches_ode_oracle():
     scenario = tunnel(20.0)
-    points = transmission_sweep(scenario, TUNNEL_ENERGIES)
-    assert all(p.flag == FLAG_OK for p in points)
-    for p in points:
-        t_ode, _ = ode_transmission_oracle(p.energy, scenario)
-        assert abs(np.log(p.transmission) - np.log(t_ode)) <= (
-            1e-8 * abs(np.log(t_ode)))
+    sweep = transmission_sweep(scenario, TUNNEL_ENERGIES)
+    assert np.all(sweep.flag == FLAG_OK)
+    for energy, trans in zip(sweep.energy.tolist(), sweep.transmission):
+        t_ode, _ = ode_transmission_oracle(energy, scenario)
+        assert abs(np.log(trans) - np.log(t_ode)) <= 1e-8 * abs(np.log(t_ode))
 
 
 def test_deep_tunnelling_long_section_stays_unitary():
-    points = transmission_sweep(tunnel(200.0), TUNNEL_ENERGIES)
-    assert all(p.flag == FLAG_OK for p in points)
-    for p in points:
-        assert np.isfinite(p.transmission) and 0.0 <= p.transmission <= 1.0
-        assert abs(p.transmission + p.reflection - 1.0) <= 1e-12
+    sweep = transmission_sweep(tunnel(200.0), TUNNEL_ENERGIES)
+    trans = sweep.transmission
+    assert np.all(sweep.flag == FLAG_OK)
+    assert np.all(np.isfinite(trans) & (0.0 <= trans) & (trans <= 1.0))
+    assert np.all(np.abs(trans + sweep.reflection - 1.0) <= 1e-12)
 
 
 def test_free_transmission_oscillates_above_threshold():
     # L = 2 packs resonances at 0.375 + n^2 pi^2 / 8 into the grid
     scenario = free(alpha=0.5, l=1, geom=CylinderGeometry(1.0, 2.0))
     energies = np.linspace(0.5, 25.0, 400)
-    trans = np.array([p.transmission for p in
-                      transmission_sweep(scenario, energies)])
+    trans = transmission_sweep(scenario, energies).transmission
     slope_signs = np.sign(np.diff(trans))
     assert np.sum(slope_signs[1:] != slope_signs[:-1]) >= 6
+
+
+@st.composite
+def sweep_cases(draw):
+    """A scenario over R in [0.2, 5], L in [0.1, 200], |l| <= 3, alpha in
+    [0, 2], and a strictly increasing grid around its inside threshold."""
+    kind = draw(st.sampled_from((embedded, free)))
+    geom = CylinderGeometry(draw(st.floats(0.2, 5.0)),
+                            draw(st.floats(0.1, 200.0)))
+    l = draw(st.integers(-3, 3))
+    alpha = draw(st.floats(0.0, 2.0))
+    offsets = draw(st.lists(st.floats(-3.0, 20.0), min_size=1, max_size=30))
+    scenario = kind(alpha=alpha, l=l, geom=geom)
+    energies = np.unique(scenario.inside_threshold + np.array(offsets))
+    return kind, scenario, energies
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sweep_cases())
+def test_sweep_columns_properties(case):
+    kind, scenario, energies = case
+    sweep = transmission_sweep(scenario, energies)
+    assert sweep.energy.tolist() == energies.tolist()
+    sub = sweep.flag == FLAG_SUB_THRESHOLD
+    assert np.array_equal(sub, energies <= scenario.outside_threshold)
+    ok = sweep.flag == FLAG_OK
+    trans, refl = sweep.transmission[ok], sweep.reflection[ok]
+    assert np.all(np.abs(trans + refl - 1.0) <= 1e-10)
+
+    untwisted = transmission_sweep(
+        kind(alpha=0.0, l=scenario.mode.l, geom=scenario.geom), energies)
+    assert np.array_equal(untwisted.flag, sweep.flag)
+    assert np.all(np.abs(untwisted.transmission[ok] - trans) <= 1e-10)
+
+    # sampled batched rows agree with the one-energy path
+    ok_rows = np.flatnonzero(ok)
+    for idx in ok_rows[::max(1, ok_rows.size // 3)]:
+        sol = solve_scattering(float(energies[idx]), scenario)
+        assert abs(sol.transmission - sweep.transmission[idx]) <= 1e-12
+        assert abs(sol.reflection - sweep.reflection[idx]) <= 1e-12
