@@ -135,21 +135,22 @@ def _parse_float(raw: str, lineno: int, unit_system: str,
         value = float(num)
     except ValueError:
         raise ConfigError(f"expected a number, got {num!r}", lineno) from None
+    if unit is not None:
+        if kind not in _UNIT_TABLES:
+            raise ConfigError(f"unit suffix {unit!r} not allowed here", lineno)
+        if unit_system != ELECTRON_NM_EV:
+            raise ConfigError(
+                f"unit suffix {unit!r} requires unit_system = electron_nm_eV",
+                lineno)
+        table = _UNIT_TABLES[kind]
+        if unit not in table:
+            raise ConfigError(
+                f"unknown {kind.replace('_', ' ')} unit {unit!r}", lineno)
+        value *= table[unit]
+    # checked after the unit factor, which can overflow a finite number
     if not np.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {num!r}", lineno)
-    if unit is None:
-        return value
-    if kind not in _UNIT_TABLES:
-        raise ConfigError(f"unit suffix {unit!r} not allowed here", lineno)
-    if unit_system != ELECTRON_NM_EV:
-        raise ConfigError(
-            f"unit suffix {unit!r} requires unit_system = electron_nm_eV",
-            lineno)
-    table = _UNIT_TABLES[kind]
-    if unit not in table:
-        raise ConfigError(f"unknown {kind.replace('_', ' ')} unit {unit!r}",
-                          lineno)
-    return value * table[unit]
+        raise ConfigError(f"expected a finite number, got {raw!r}", lineno)
+    return value
 
 
 def _parse_int(raw: str, lineno: int) -> int:

@@ -3,13 +3,15 @@
 Contains a finite-difference eigensolver for the longitudinal mode equation
 (the cross check on the closed-form spectrum), a direct ODE-integration
 transmission oracle (the cross check on the closed-form scattering solution),
-and an adaptive Simpson quadrature used for twist-phase integrals. The scipy
-modules behind the two oracles are imported where they are used, so that
-importing the package does not pay for them.
+and an adaptive Simpson quadrature used for twist-phase integrals. All three
+run on numpy alone: the eigensolver's shifted solves use a pivoted
+tridiagonal elimination, and the oracle propagates the constant-coefficient
+mode equation with powers of one classical Runge-Kutta step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +23,7 @@ from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                        da_costa_potential, surface_curvatures)
 
 _EIG_MAX_ITER = 80
+_RK4_LOG2_STEP = 10  # ODE oracle: h max(1, max|A_ij|) <= 2^-_RK4_LOG2_STEP
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,36 @@ def _band_matvec(lower, diag, upper, v):
     return out
 
 
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve a tridiagonal system by Gaussian elimination with partial pivoting.
+
+    ``lower[i]`` is A[i+1, i] and ``upper[i]`` is A[i, i+1]. As in LAPACK
+    gtsv, a row swap fills in a second superdiagonal ``du2``. The recurrence
+    runs on Python complex scalars, which are faster than element access
+    into numpy arrays. A zero pivot raises ZeroDivisionError.
+    """
+    dl = lower.tolist()
+    d = diag.tolist()
+    du = upper.tolist() + [0j]
+    b = rhs.tolist()
+    n = len(d)
+    du2 = [0j] * (n + 1)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+        else:  # swap rows i and i+1, then eliminate
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            du2[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    x = [0j] * (n + 2)
+    for i in range(n - 1, -1, -1):
+        x[i] = (b[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+    return np.array(x[:n])
+
+
 def _inverse_iteration(lower, diag, upper, shift, seed):
     """Eigenpair nearest to ``shift`` by shifted inverse iteration.
 
@@ -92,18 +125,9 @@ def _inverse_iteration(lower, diag, upper, shift, seed):
     twist makes the matrix non-Hermitian. Convergence is judged on the
     residual, whose floor is set by rounding at the matrix scale.
     """
-    from scipy.linalg import solve_banded
-
-    n = diag.size
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = upper
-    ab[1, :] = diag - shift
-    ab[2, :-1] = lower
+    shifted = diag - shift
     # bands of (A - shift I)^H for the left vector
-    ab_h = np.zeros((3, n), dtype=complex)
-    ab_h[0, 1:] = np.conj(lower)
-    ab_h[1, :] = np.conj(diag - shift)
-    ab_h[2, :-1] = np.conj(upper)
+    lower_h, diag_h, upper_h = np.conj(upper), np.conj(shifted), np.conj(lower)
 
     norm_a = (np.max(np.abs(diag)) + np.max(np.abs(upper))
               + np.max(np.abs(lower)))
@@ -112,9 +136,9 @@ def _inverse_iteration(lower, diag, upper, shift, seed):
     best = None
     best_res = np.inf
     for _ in range(_EIG_MAX_ITER):
-        x = solve_banded((1, 1), ab, x)
+        x = _solve_tridiagonal(lower, shifted, upper, x)
         x = x / np.linalg.norm(x)
-        y = solve_banded((1, 1), ab_h, y)
+        y = _solve_tridiagonal(lower_h, diag_h, upper_h, y)
         y = y / np.linalg.norm(y)
         ax = _band_matvec(lower, diag, upper, x)
         lam = np.vdot(y, ax) / np.vdot(y, x)
@@ -189,8 +213,7 @@ def fd_bound_spectrum(l: int, geom: CylinderGeometry, twist: TwistProfile,
     return np.sort(lam.real)
 
 
-def ode_transmission_oracle(energy: float, scenario, rtol: float = 1e-10,
-                            atol: float = 1e-12) -> tuple[float, float]:
+def ode_transmission_oracle(energy: float, scenario) -> tuple[float, float]:
     """Transmission and reflection by direct integration of the mode ODE.
 
     Starts from a pure outgoing wave at z = L, integrates the full complex
@@ -199,9 +222,15 @@ def ode_transmission_oracle(energy: float, scenario, rtol: float = 1e-10,
     waves at z = 0 using the current-continuity derivative conditions. This
     route shares nothing with the closed-form root/matching solution beyond
     the scenario definition.
-    """
-    from scipy.integrate import solve_ivp
 
+    The equation is y' = A y for y = (Z, Z') with a constant matrix A, so
+    one classical RK4 step of size h is the matrix P = sum_{k<=4} (hA)^k/k!
+    and 2^s steps are P^(2^s), formed by repeated squaring (Ko & Inkson,
+    PRB 38, 9945 (1988), propagate the same equation by transfer matrices).
+    The step satisfies h max(1, max|A_ij|) <= 2^-10.
+    Raises IntegratorFailure when the propagated solution is not finite,
+    as when deep tunnelling through a long section overflows.
+    """
     thr = scenario.outside_threshold
     if energy <= thr:
         raise NoPropagatingChannel(
@@ -218,24 +247,30 @@ def ode_transmission_oracle(energy: float, scenario, rtol: float = 1e-10,
     c1 = 2j * l * alpha
     c0 = (v_eff - energy) / t
 
-    def rhs(_z, y):
-        return [y[1], c1 * y[1] + c0 * y[0]]
-
     length = geom.length
+    scale = max(1.0, abs(c0), abs(c1))
+    steps_log2 = max(0, math.ceil(math.log2(length * scale) + _RK4_LOG2_STEP))
+    ha = (-length / 2**steps_log2) * np.array([[0.0, 1.0], [c0, c1]])
+    eye = np.eye(2)
+    # P - 1 is carried instead of P, which would round away the low bits of
+    # hA: (1 + E)^2 = 1 + (2E + E^2)
+    e = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
     y_end = np.array([np.exp(1j * k * length),
                       (1j * k + 1j * l * alpha) * np.exp(1j * k * length)])
-    sol = solve_ivp(rhs, (length, 0.0), y_end, method="RK45",
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegratorFailure(sol.message)
-    z0, zp0 = sol.y[0, -1], sol.y[1, -1]
-
-    d = (zp0 - 1j * l * alpha * z0) / (1j * k)
-    a_in = 0.5 * (z0 + d)    # incident amplitude when outgoing is normalized
-    b_out = 0.5 * (z0 - d)   # reflected amplitude
-    trans = 1.0 / abs(a_in)**2
-    refl = abs(b_out / a_in)**2
-    return trans, refl
+    with np.errstate(all="ignore"):
+        for _ in range(steps_log2):
+            e = 2.0 * e + e @ e
+        z0, zp0 = y_end + e @ y_end
+        d = (zp0 - 1j * l * alpha * z0) / (1j * k)
+        a_in = 0.5 * (z0 + d)    # incident amplitude when outgoing is normalized
+        b_out = 0.5 * (z0 - d)   # reflected amplitude
+        trans = 1.0 / abs(a_in)**2
+        refl = abs(b_out / a_in)**2
+    if not (np.isfinite(z0) and np.isfinite(zp0) and np.isfinite(refl)):
+        raise IntegratorFailure(
+            f"propagated solution not finite at energy {energy} "
+            f"over length {length}")
+    return float(trans), float(refl)
 
 
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float,

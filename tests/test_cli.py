@@ -93,14 +93,54 @@ def test_non_finite_number_is_config_error(tmp_path, old, new):
 
 
 def test_import_leaves_oracle_scipy_modules_unloaded():
-    # a fresh interpreter, importing the same twistcyl this process imported
+    # a fresh interpreter runs validate on the same twistcyl this process
+    # imported; neither the import nor the oracles may load any scipy module
     src = os.path.dirname(os.path.dirname(twistcyl.__file__))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import twistcyl.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code, src],
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from twistcyl.cli import main; rc = main(['validate']); "
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.rstrip().endswith("OK: 15 of 15 checks passed")
+    assert proc.stderr.strip() == "0 []"
+
+
+ELECTRON_SCATTER = """\
+[physics]
+unit_system = electron_nm_eV
+
+[geometry]
+radius = 1 nm
+length = 2 nm
+
+[twist]
+profile = constant
+alpha = 0.5 1/nm
+
+[scattering]
+l = 1
+
+[energy_grid]
+min = 10 meV
+max = 2 eV
+points = 5
+"""
+
+
+def test_unit_factor_overflow_is_config_error(tmp_path, capsys):
+    # finite as written, infinite once scaled by the unit factor
+    text = ELECTRON_SCATTER.replace("alpha = 0.5 1/nm",
+                                    "alpha = 1e308 1/angstrom")
+    with pytest.raises(ConfigError, match="line 10: expected a finite number"):
+        parse_config(text)
+    assert main(["scatter-free", "--config",
+                 write(tmp_path, "run.ini", text)]) == 1
+    assert "finite" in capsys.readouterr().err
+    # a scaled value that stays finite is accepted
+    config = parse_config(ELECTRON_SCATTER.replace("radius = 1 nm",
+                                                   "radius = 1e308 nm"))
+    assert config.geometry.radius == 1e308
 
 
 def test_parse_rejects_duplicate_key():
@@ -428,3 +468,105 @@ def test_emit_matches_per_cell_reference(tmp_path_factory, table):
     assert out.read_bytes() == _ref_render_json(
         "test-v1", base.config_sha256, header, rows,
         base.echo).encode("utf-8")
+
+
+FULL_NATURAL = """\
+[run]
+command = sweep
+
+[physics]
+hbar = 1.0
+mass = 1.0
+
+[geometry]
+radius = 1.0
+length = 2.0
+
+[twist]
+profile = linear-ramp
+alpha0 = 0.3
+
+[modes]
+n_max = 3
+l_max = 2
+
+[scattering]
+l = 1
+
+[energy_grid]
+min = 0.01
+max = 5.0
+points = 20
+
+[sweep]
+scenario = free
+vary = radius
+values = 0.5, 1.0, 2.0
+
+[wavefunction]
+n = 1
+l = 0
+n_phi = 8
+n_z = 8
+
+[output]
+path = out.csv
+format = csv
+"""
+
+FULL_ELECTRON = ELECTRON_SCATTER + """
+[sweep]
+scenario = embedded
+vary = alpha
+values = 0 1/nm, 2 1/angstrom
+"""
+
+_FUZZ_VALUES = st.sampled_from([
+    "", "nan", "-nan", "inf", "-inf", "1e999", "-1e999", "1e308", "1e-320",
+    "0", "-1", "2.5", "7", "99999999999999999999", "x", "1e308 1/angstrom",
+    "1e308 angstrom", "2 nm", "3 A", "5 meV", "1 eV", "4 furlong", "1 2 3",
+    "nan nm", "inf eV", "0, 1", "1,,2", "1, inf", "1, 1e999 1/A", ",",
+    "constant", "linear-ramp", "free", "embedded", "alpha", "l", "radius",
+    "natural", "electron_nm_eV", "json", "csv", "validate", "[x]"])
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config document with lines dropped, duplicated, garbled or
+    given new values and unit suffixes."""
+    lines = draw(st.sampled_from([FULL_NATURAL, FULL_ELECTRON])).splitlines()
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(
+            ["drop", "duplicate", "garble", "value", "suffix"]))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "garble":
+            cut = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:cut] + draw(st.text(max_size=8))
+        elif op == "value":
+            key, sep, _ = lines[i].partition("=")
+            lines[i] = key + (sep or "=") + " " + draw(_FUZZ_VALUES)
+        else:
+            lines[i] += " " + draw(st.sampled_from(
+                ["nm", "angstrom", "1/nm", "1/A", "eV", "meV", "m", "="]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_configs())
+def test_parse_config_returns_or_raises_config_error(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    numbers = [config.physics.hbar, config.physics.mass, config.twist.alpha(1.0)]
+    if config.geometry is not None:
+        numbers += [config.geometry.radius, config.geometry.length]
+    if config.energy_grid is not None:
+        numbers += config.energy_grid[:2]
+    if config.sweep is not None:
+        numbers += config.sweep.values
+    assert np.all(np.isfinite(numbers))
