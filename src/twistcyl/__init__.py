@@ -10,9 +10,8 @@ from .errors import (ConfigError, EigensolverFailure, IntegratorFailure,
                      NoPropagatingChannel, QuadratureFailure, SingularMetric,
                      ThresholdDegeneracy, TwistCylError)
 from .geometry import (COVARIANT, CONTRAVARIANT, CurvatureData,
-                       CylinderGeometry, DisplacementField, Metric2,
-                       PhysicsParams, Strain2, TwistProfile,
-                       da_costa_potential, inverse_metric,
+                       CylinderGeometry, Metric2, PhysicsParams, Strain2,
+                       TwistProfile, da_costa_potential, inverse_metric,
                        metric_from_embedding_fd, metric_from_strain,
                        strain_from_linear_twist, surface_curvatures,
                        twisted_metric, undeformed_metric)
@@ -21,28 +20,25 @@ from .numeric import (FDGrid, fd_bound_spectrum, fd_eigenpairs,
 from .scattering import (ScatteringScenario, ScatteringSolution, SweepResult,
                          outside_wavevector, probability_current,
                          region_roots, solve_scattering, transmission_sweep)
-from .spectrum import (EffectivePotentialValue, ModeNumbers,
-                       WavefunctionSample, bound_wavefunction,
+from .spectrum import (ModeNumbers, WavefunctionSample, bound_wavefunction,
                        effective_potential, eigenenergy, gauge_potential_star,
                        list_bound_states, no_bound_states_below, twist_phase)
 
 __all__ = [
-    "COVARIANT", "CONTRAVARIANT",
-    "ConfigError", "CurvatureData", "CylinderGeometry", "DisplacementField",
-    "EffectivePotentialValue", "EigensolverFailure", "FDGrid",
-    "IntegratorFailure", "Metric2", "ModeNumbers", "NoPropagatingChannel",
-    "PhysicsParams", "QuadratureFailure", "ScatteringScenario",
-    "ScatteringSolution", "SingularMetric", "Strain2",
-    "SweepResult", "ThresholdDegeneracy", "TwistCylError", "TwistProfile",
-    "WavefunctionSample", "bound_wavefunction", "da_costa_potential",
-    "effective_potential", "eigenenergy", "fd_bound_spectrum",
-    "fd_eigenpairs", "gauge_potential_star", "integrate_adaptive",
-    "inverse_metric", "list_bound_states", "metric_from_embedding_fd",
-    "metric_from_strain", "no_bound_states_below", "ode_transmission_oracle",
-    "outside_wavevector", "probability_current", "region_roots",
-    "solve_scattering", "strain_from_linear_twist",
-    "surface_curvatures", "transmission_sweep", "twist_phase",
-    "twisted_metric", "undeformed_metric",
+    "COVARIANT", "CONTRAVARIANT", "ConfigError", "CurvatureData",
+    "CylinderGeometry", "EigensolverFailure", "FDGrid", "IntegratorFailure",
+    "Metric2", "ModeNumbers", "NoPropagatingChannel", "PhysicsParams",
+    "QuadratureFailure", "ScatteringScenario", "ScatteringSolution",
+    "SingularMetric", "Strain2", "SweepResult", "ThresholdDegeneracy",
+    "TwistCylError", "TwistProfile", "WavefunctionSample",
+    "bound_wavefunction", "da_costa_potential", "effective_potential",
+    "eigenenergy", "fd_bound_spectrum", "fd_eigenpairs",
+    "gauge_potential_star", "integrate_adaptive", "inverse_metric",
+    "list_bound_states", "metric_from_embedding_fd", "metric_from_strain",
+    "no_bound_states_below", "ode_transmission_oracle", "outside_wavevector",
+    "probability_current", "region_roots", "solve_scattering",
+    "strain_from_linear_twist", "surface_curvatures", "transmission_sweep",
+    "twist_phase", "twisted_metric", "undeformed_metric",
 ]
 
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -326,24 +327,50 @@ _CELL = {"f": "%.12g", "i": "%d", "U": "%s"}
 
 
 def _json_cells(column: np.ndarray) -> list:
-    """Python values of one column, NaN as None (JSON null)."""
+    """One column's cells as values whose ``%s`` is their JSON text.
+
+    A finite float prints as ``float.__repr__`` does, which is what ``json``
+    writes; NaN is null and the infinities are written as ``json`` writes them.
+    """
+    if column.dtype.kind == "U":
+        return list(map(encode_basestring_ascii, column.tolist()))
     if column.dtype.kind != "f":
         return column.tolist()
     cells = column.astype(object)
-    cells[np.isnan(column)] = None
+    cells[np.isnan(column)] = "null"
+    cells[column == np.inf] = "Infinity"
+    cells[column == -np.inf] = "-Infinity"
     return cells.tolist()
+
+
+def _json_document(schema: str, config: RunConfig, header, columns) -> str:
+    """The ``json.dumps(..., sort_keys=True, indent=2)`` text of the artifact.
+
+    Each row is one ``%`` template over its sorted keys, spliced into the
+    indented document; a header key that repeats keeps its last column, as
+    a dict would.
+    """
+    last = {key: index for index, key in enumerate(header)}
+    keys = sorted(last)
+    template = "    {\n%s\n    }" % ",\n".join(
+        f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s"
+        for key in keys)
+    cells = [_json_cells(columns[last[key]]) for key in keys]
+    rows = ",\n".join(map(template.__mod__, zip(*cells, strict=True)))
+    text = json.dumps({"schema": schema, "config_sha256": config.config_sha256,
+                       "config": config.echo, "rows": []},
+                      sort_keys=True, indent=2)
+    if rows:
+        # only the top-level key sits on a line indented by two spaces
+        text = text.replace('\n  "rows": []', f'\n  "rows": [\n{rows}\n  ]', 1)
+    return text + "\n"
 
 
 def _emit(config: RunConfig, schema: str, header, columns) -> None:
     """Write equal-length columns (float, int or str arrays) as one artifact."""
     columns = [np.asarray(column) for column in columns]
     if config.output_format == "json":
-        rows = zip(*map(_json_cells, columns), strict=True)
-        text = json.dumps({
-            "schema": schema, "config_sha256": config.config_sha256,
-            "config": config.echo,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }, sort_keys=True, indent=2) + "\n"
+        text = _json_document(schema, config, header, columns)
     else:
         template = ",".join(_CELL[column.dtype.kind] for column in columns)
         rows = zip(*[column.tolist() for column in columns], strict=True)

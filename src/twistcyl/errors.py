@@ -14,7 +14,8 @@ class QuadratureFailure(TwistCylError):
 
 
 class ThresholdDegeneracy(TwistCylError):
-    """Scattering energy sits inside the degenerate-roots window at threshold."""
+    """Scattering energy sits inside the degenerate-roots window at threshold,
+    or its matching system has no finite solution."""
 
 
 class NoPropagatingChannel(TwistCylError):

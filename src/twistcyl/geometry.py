@@ -150,23 +150,6 @@ class TwistProfile:
 
 
 @dataclass(frozen=True)
-class DisplacementField:
-    """Contravariant displacement of a pure torsion: only u^phi = alpha * z."""
-
-    u_phi: float
-    u_r: float = 0.0
-    u_z: float = 0.0
-
-    def __post_init__(self):
-        if self.u_r != 0.0 or self.u_z != 0.0:
-            raise ValueError("pure torsion requires u_r = u_z = 0")
-
-    @classmethod
-    def pure_torsion(cls, alpha: float, z: float) -> "DisplacementField":
-        return cls(u_phi=alpha * z)
-
-
-@dataclass(frozen=True)
 class Strain2:
     """Symmetric covariant strain tensor on (phi, z), dimensionless."""
 

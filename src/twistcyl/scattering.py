@@ -24,11 +24,11 @@ The solve uses the scaled basis
     Z_II = A e^{r1 z} + B~ e^{r2 (z-L)},    Z_III = t~ e^{ik(z-L)},
 
 which writes the growing mode about the far interface (Ko & Inkson, PRB 38,
-9945 (1988)). Every exponential in the matching matrix then has modulus at
-most one, so deep tunnelling through long sections stays well conditioned
-instead of overflowing like e^{|r| L}. The public amplitudes
-B = B~ e^{-r2 L} and t = t~ e^{-ikL} are recovered afterwards; both are
-bounded.
+9945 (1988)). Every exponential in the matching equations then has modulus
+at most one, so deep tunnelling through long sections stays well conditioned
+instead of overflowing like e^{|r| L}; the equations eliminate in closed
+form. The public amplitudes B = B~ e^{-r2 L} and t = t~ e^{-ikL} are
+recovered afterwards; both are bounded.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def region_roots(energies, scenario: ScatteringScenario):
     energies = np.asarray(energies, dtype=float)
     phys = scenario.phys
     v_eff = effective_potential(scenario.mode, scenario.geom, scenario.alpha,
-                                phys).value
+                                phys)
     l_alpha = scenario.mode.l * scenario.alpha
     arg = (v_eff - energies) / phys.hbar2_over_2m - l_alpha**2
     root = np.sqrt(arg.astype(complex))  # principal branch: Re, Im >= 0
@@ -169,10 +169,10 @@ def probability_current(z_val: complex, z_deriv: complex, l: int, alpha: float,
 def _solve_batch(energies: np.ndarray, scenario: ScatteringScenario):
     """Amplitudes (r, A, B, t) at energies that all have an open channel.
 
-    Solves the (N, 4, 4) matching system in the scaled basis of the module
-    docstring with one LAPACK call and converts back to the public
-    amplitudes. The caller keeps threshold-window energies out: coalescing
-    roots make a matrix exactly singular, which fails the whole batch.
+    Eliminates the matching equations in the scaled basis of the module
+    docstring elementwise over the grid, then converts back to the public
+    amplitudes. The caller keeps threshold-window energies out and flags any
+    amplitude that is not finite (a singular matching system).
     """
     k = outside_wavevector(energies, scenario)
     r1, r2 = region_roots(energies, scenario)
@@ -181,22 +181,18 @@ def _solve_batch(energies: np.ndarray, scenario: ScatteringScenario):
     ik = 1j * k
     e1 = np.exp(r1 * length)    # decaying mode across the section
     e2 = np.exp(-r2 * length)   # growing mode, written about z = L
-    one = np.ones_like(ik)
-    zero = np.zeros_like(ik)
-
-    # unknowns x = (r, A, B e^{r2 L}, t e^{ikL})
-    matrix = np.stack([
-        np.stack([-one, one, e2, zero], axis=-1),
-        np.stack([ik, r1 - 1j * l_alpha, (r2 - 1j * l_alpha) * e2, zero],
-                 axis=-1),
-        np.stack([zero, e1, one, -one], axis=-1),
-        np.stack([zero, (r1 - 1j * l_alpha) * e1, r2 - 1j * l_alpha, -ik],
-                 axis=-1),
-    ], axis=-2)
-    rhs = np.stack([one, ik, zero, zero], axis=-1)
-    r_amp, a_amp, b_scaled, t_scaled = np.linalg.solve(
-        matrix, rhs[..., None])[..., 0].T
-    return r_amp, a_amp, b_scaled * e2, t_scaled * np.exp(-ik * length)
+    p1, p2 = r1 - 1j * l_alpha, r2 - 1j * l_alpha
+    # continuity of Z gives r = (A - 1) + e2 B~ and t~ = e1 A + B~; the current
+    # conditions then leave (ik + p1) A + (ik + p2) e2 B~ = 2ik and
+    # (p1 - ik) e1 A + (p2 - ik) B~ = 0, solved by Cramer's rule. e1 e2 stays
+    # the product of the rounded exponentials, so its phase matches theirs.
+    det = (ik + p1) * (p2 - ik) - (ik + p2) * e2 * (p1 - ik) * e1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_amp = 2.0 * ik * (p2 - ik) / det
+        b_scaled = -2.0 * ik * (p1 - ik) * e1 / det
+        r_amp = (a_amp - 1.0) + e2 * b_scaled
+        t_scaled = e1 * a_amp + b_scaled
+        return r_amp, a_amp, b_scaled * e2, t_scaled * np.exp(-ik * length)
 
 
 def solve_scattering(energy: float, scenario: ScatteringScenario) -> ScatteringSolution:
@@ -213,6 +209,9 @@ def solve_scattering(energy: float, scenario: ScatteringScenario) -> ScatteringS
             f"{scenario.inside_threshold}")
     r_amp, a_amp, b_amp, t_amp = (
         complex(v[0]) for v in _solve_batch(np.array([energy]), scenario))
+    if not all(np.isfinite((r_amp, a_amp, b_amp, t_amp))):
+        raise ThresholdDegeneracy(
+            f"matching system at energy {energy} has no finite solution")
     return ScatteringSolution(
         r=r_amp, t=t_amp, A=a_amp, B=b_amp,
         transmission=abs(t_amp)**2, reflection=abs(r_amp)**2)

@@ -33,25 +33,15 @@ class ModeNumbers:
             raise ValueError("n must be an integer >= 1")
 
 
-@dataclass(frozen=True)
-class EffectivePotentialValue:
-    """Longitudinal potential for one mode; ``torsion_dependent`` records
-    whether the raw (twist-carrying) or the phase-transformed form was used."""
-
-    value: float
-    torsion_dependent: bool
-
-
 def effective_potential(mode: ModeNumbers, geom: CylinderGeometry,
-                        alpha: float, phys: PhysicsParams) -> EffectivePotentialValue:
+                        alpha: float, phys: PhysicsParams) -> float:
     """Raw mode-l potential (hbar^2 / 2 m R^2) (g_zz l^2 - 1/4), g_zz = 1 + R^2 a^2.
 
     The centrifugal term carries the twist through g_zz; the phase transform
     removes it again, see ``gauge_potential_star``.
     """
     g_zz = 1.0 + geom.radius**2 * alpha**2
-    value = phys.hbar2_over_2m * (g_zz * mode.l**2 - 0.25) / geom.radius**2
-    return EffectivePotentialValue(value=value, torsion_dependent=True)
+    return phys.hbar2_over_2m * (g_zz * mode.l**2 - 0.25) / geom.radius**2
 
 
 def gauge_potential_star(mode: ModeNumbers, geom: CylinderGeometry,

@@ -470,6 +470,40 @@ def test_emit_matches_per_cell_reference(tmp_path_factory, table):
         base.echo).encode("utf-8")
 
 
+# header labels and str cells beyond the artifacts' own: any order, repeats,
+# '%', quotes, control and non-ASCII characters (no NUL, which a numpy str
+# array drops at the end of a value, and no lone surrogates)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="\x00"), max_size=8)
+
+
+@st.composite
+def labelled_tables(draw):
+    """A table as in ``tables`` with free-text labels and str cells."""
+    kinds, columns = draw(tables())
+    labels = draw(st.lists(st.sampled_from(["T", "R", "%s", "energy"]) | _TEXT,
+                           min_size=len(kinds), max_size=len(kinds)))
+    columns = [draw(st.lists(_TEXT, min_size=len(column),
+                             max_size=len(column))) if kind == "U" else column
+               for kind, column in zip(kinds, columns)]
+    return kinds, labels, columns
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(labelled_tables())
+def test_emit_json_matches_reference_for_any_labels(tmp_path_factory, table):
+    kinds, header, columns = table
+    arrays = [np.array(column, dtype=_CELL_DTYPES[kind])
+              for kind, column in zip(kinds, columns)]
+    out = tmp_path_factory.mktemp("emit") / "artifact.json"
+    config = replace(default_config("spectrum"), output_path=str(out),
+                     output_format="json")
+    _emit(config, "test-v1", header, arrays)
+    assert out.read_bytes() == _ref_render_json(
+        "test-v1", config.config_sha256, header, list(zip(*columns)),
+        config.echo).encode("utf-8")
+
+
 FULL_NATURAL = """\
 [run]
 command = sweep

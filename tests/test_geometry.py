@@ -3,12 +3,11 @@ import pytest
 
 from twistcyl.errors import SingularMetric
 from twistcyl.geometry import (COVARIANT, CONTRAVARIANT, CylinderGeometry,
-                               DisplacementField, Metric2, PhysicsParams,
-                               Strain2, TwistProfile, da_costa_potential,
-                               inverse_metric, metric_from_embedding_fd,
-                               metric_from_strain, strain_from_linear_twist,
-                               surface_curvatures, twisted_metric,
-                               undeformed_metric)
+                               Metric2, PhysicsParams, Strain2, TwistProfile,
+                               da_costa_potential, inverse_metric,
+                               metric_from_embedding_fd, metric_from_strain,
+                               strain_from_linear_twist, surface_curvatures,
+                               twisted_metric, undeformed_metric)
 
 
 def test_physics_params_validation():
@@ -34,13 +33,6 @@ def test_geometry_validation():
         CylinderGeometry(radius=-1.0, length=1.0)
     with pytest.raises(ValueError):
         CylinderGeometry(radius=1.0, length=0.0)
-
-
-def test_displacement_is_pure_torsion():
-    u = DisplacementField.pure_torsion(alpha=0.5, z=2.0)
-    assert u.u_phi == 1.0 and u.u_r == 0.0 and u.u_z == 0.0
-    with pytest.raises(ValueError):
-        DisplacementField(u_phi=1.0, u_r=0.1)
 
 
 @pytest.mark.parametrize("radius,alpha,expected", [

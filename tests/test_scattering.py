@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,10 @@ from twistcyl.errors import NoPropagatingChannel, ThresholdDegeneracy
 from twistcyl.geometry import CylinderGeometry, PhysicsParams
 from twistcyl.numeric import ode_transmission_oracle
 from twistcyl.scattering import (FLAG_DEGENERATE, FLAG_OK, FLAG_SUB_THRESHOLD,
-                                 ScatteringScenario, outside_wavevector,
-                                 probability_current, region_roots,
-                                 solve_scattering, transmission_sweep)
+                                 ScatteringScenario, _solve_batch,
+                                 outside_wavevector, probability_current,
+                                 region_roots, solve_scattering,
+                                 transmission_sweep)
 
 PHYS = PhysicsParams()
 GEOM = CylinderGeometry(radius=1.0, length=1.0)
@@ -329,3 +331,138 @@ def test_sweep_columns_properties(case):
         sol = solve_scattering(float(energies[idx]), scenario)
         assert abs(sol.transmission - sweep.transmission[idx]) <= 1e-12
         assert abs(sol.reflection - sweep.reflection[idx]) <= 1e-12
+
+
+def test_non_finite_system_is_threshold_degeneracy():
+    scenario = free(alpha=float("nan"), l=1)
+    with pytest.raises(ThresholdDegeneracy):
+        solve_scattering(1.0, scenario)
+    sweep = transmission_sweep(scenario, np.array([1.0, 2.0]))
+    assert np.all(sweep.flag == FLAG_DEGENERATE)
+    assert np.all(np.isnan(sweep.transmission) & np.isnan(sweep.reflection))
+
+
+# The batched (N, 4, 4) LAPACK solve that the closed elimination replaced,
+# kept verbatim as the reference for _solve_batch.
+def reference_solve_batch(energies: np.ndarray, scenario: ScatteringScenario):
+    k = outside_wavevector(energies, scenario)
+    r1, r2 = region_roots(energies, scenario)
+    l_alpha = scenario.mode.l * scenario.alpha
+    length = scenario.geom.length
+    ik = 1j * k
+    e1 = np.exp(r1 * length)    # decaying mode across the section
+    e2 = np.exp(-r2 * length)   # growing mode, written about z = L
+    one = np.ones_like(ik)
+    zero = np.zeros_like(ik)
+
+    # unknowns x = (r, A, B e^{r2 L}, t e^{ikL})
+    matrix = np.stack([
+        np.stack([-one, one, e2, zero], axis=-1),
+        np.stack([ik, r1 - 1j * l_alpha, (r2 - 1j * l_alpha) * e2, zero],
+                 axis=-1),
+        np.stack([zero, e1, one, -one], axis=-1),
+        np.stack([zero, (r1 - 1j * l_alpha) * e1, r2 - 1j * l_alpha, -ik],
+                 axis=-1),
+    ], axis=-2)
+    rhs = np.stack([one, ik, zero, zero], axis=-1)
+    r_amp, a_amp, b_scaled, t_scaled = np.linalg.solve(
+        matrix, rhs[..., None])[..., 0].T
+    return r_amp, a_amp, b_scaled * e2, t_scaled * np.exp(-ik * length)
+
+
+def near_threshold_energies(scenario, offsets):
+    """Energies at |offset| from the inside threshold, on its side given by
+    the sign, keeping those with an open outside channel."""
+    energies = np.unique(scenario.inside_threshold + np.asarray(offsets))
+    return energies[energies > scenario.outside_threshold]
+
+
+@st.composite
+def elimination_cases(draw):
+    """Both scenarios over R in [0.1, 10], L in [0.1, 100], |l| <= 5,
+    alpha in [0, 2], with energies 1e-9 to 10 on either side of the inside
+    threshold (below it the free scenario tunnels)."""
+    kind = draw(st.sampled_from((embedded, free)))
+    geom = CylinderGeometry(draw(st.floats(0.1, 10.0)),
+                            draw(st.floats(0.1, 100.0)))
+    scenario = kind(alpha=draw(st.floats(0.0, 2.0)),
+                    l=draw(st.integers(-5, 5)), geom=geom)
+    offsets = [sign * 10.0**exponent for sign, exponent in draw(st.lists(
+        st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-9.0, 1.0)),
+        min_size=1, max_size=20))]
+    return scenario, near_threshold_energies(scenario, offsets)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(elimination_cases())
+def test_elimination_matches_lapack_reference(case):
+    scenario, energies = case
+    if energies.size == 0:
+        return
+    for got, ref in zip(_solve_batch(energies, scenario),
+                        reference_solve_batch(energies, scenario)):
+        assert np.all(np.abs(got - ref)
+                      <= 5e-11 * np.maximum(1.0, np.abs(ref)))
+
+
+def exact_probabilities(energy: float, scenario: ScatteringScenario):
+    """(T, R) from a 50-digit solve of the scaled 4x4 matching system."""
+    with mpmath.workdps(50):
+        phys, geom = scenario.phys, scenario.geom
+        h2m = mpmath.mpf(phys.hbar2_over_2m)
+        radius, length = mpmath.mpf(geom.radius), mpmath.mpf(geom.length)
+        l, alpha = scenario.mode.l, mpmath.mpf(scenario.alpha)
+        energy = mpmath.mpf(energy)
+        g_zz = 1 + radius**2 * alpha**2
+        v_eff = h2m * (g_zz * l**2 - mpmath.mpf(1) / 4) / radius**2
+        l_alpha = l * alpha
+        root = mpmath.sqrt(mpmath.mpc((v_eff - energy) / h2m - l_alpha**2))
+        r1, r2 = 1j * l_alpha - root, 1j * l_alpha + root
+        ik = 1j * mpmath.sqrt(
+            (energy - mpmath.mpf(scenario.outside_threshold)) / h2m)
+        e1, e2 = mpmath.exp(r1 * length), mpmath.exp(-r2 * length)
+        p1, p2 = r1 - 1j * l_alpha, r2 - 1j * l_alpha
+        matrix = mpmath.matrix([[-1, 1, e2, 0],
+                                [ik, p1, p2 * e2, 0],
+                                [0, e1, 1, -1],
+                                [0, p1 * e1, p2, -ik]])
+        x = mpmath.lu_solve(matrix, mpmath.matrix([1, ik, 0, 0]))
+        return float(abs(x[3])**2), float(abs(x[0])**2)
+
+
+def test_elimination_matches_exact_solve():
+    rng = np.random.default_rng(51)
+    worst, draws = 0.0, 0
+    while draws < 300:
+        kind = free if rng.integers(2) else embedded
+        scenario = kind(alpha=rng.uniform(0.0, 2.0), l=int(rng.integers(0, 6)),
+                        geom=CylinderGeometry(rng.uniform(0.1, 10.0),
+                                              rng.uniform(0.1, 20.0)))
+        offset = rng.choice((-1.0, 1.0)) * 10.0**rng.uniform(-9.0, 1.0)
+        energies = near_threshold_energies(scenario, [offset])
+        if energies.size == 0:
+            continue
+        draws += 1
+        r_amp, _, _, t_amp = _solve_batch(energies, scenario)
+        t_exact, r_exact = exact_probabilities(float(energies[0]), scenario)
+        worst = max(worst, abs(abs(t_amp[0])**2 - t_exact),
+                    abs(abs(r_amp[0])**2 - r_exact))
+    assert worst <= 5e-11
+
+
+@pytest.mark.parametrize("kind", [embedded, free])
+@pytest.mark.parametrize("radius,length,l", [
+    (1.0, 1e3, 1), (1.0, 1e100, 1), (1.0, 1e300, 1),
+    (1e-150, 1.0, 1), (1e150, 1.0, 1),
+    (1.0, 1.0, 300), (1.0, 1.0, 10**6),
+])
+def test_extreme_regimes_stay_unitary(kind, radius, length, l):
+    scenario = kind(alpha=0.5, l=l, geom=CylinderGeometry(radius, length))
+    thr = scenario.inside_threshold
+    energies = np.unique(np.concatenate(
+        [thr * np.array([0.5, 0.9, 1.1, 2.0]), [0.1, 1.0, 10.0]]))
+    sweep = transmission_sweep(scenario, energies)
+    ok = sweep.flag == FLAG_OK
+    assert np.any(ok)
+    assert np.all(np.abs(sweep.transmission[ok] + sweep.reflection[ok] - 1.0)
+                  <= 1e-12)

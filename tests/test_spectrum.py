@@ -28,8 +28,7 @@ def test_mode_numbers_validation():
 ])
 def test_effective_potential_values(l, alpha, expected):
     got = effective_potential(ModeNumbers(l=l), GEOM, alpha, PHYS)
-    assert got.value == pytest.approx(expected, abs=1e-15)
-    assert got.torsion_dependent
+    assert got == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("l,radius,expected", [
@@ -46,7 +45,7 @@ def test_gauge_potential_star_values(l, radius, expected):
 def test_gauge_potential_star_equals_untwisted_effective_potential():
     for l in (0, 1, 3):
         star = gauge_potential_star(ModeNumbers(l=l), GEOM, PHYS)
-        raw = effective_potential(ModeNumbers(l=l), GEOM, 0.0, PHYS).value
+        raw = effective_potential(ModeNumbers(l=l), GEOM, 0.0, PHYS)
         assert star == pytest.approx(raw, abs=1e-15)
 
 
