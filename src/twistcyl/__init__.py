@@ -2,7 +2,7 @@
 
 Strain-induced metrics and curvatures, the curvature-induced potential,
 bound states with their twist phase, and transmission through twisted
-sections, all cross-checked by independent finite-difference and
+sections, all cross-checked by independent spectral-collocation and
 ODE-integration oracles.
 """
 
@@ -15,8 +15,8 @@ from .geometry import (COVARIANT, CONTRAVARIANT, CurvatureData,
                        metric_from_embedding_fd, metric_from_strain,
                        strain_from_linear_twist, surface_curvatures,
                        twisted_metric, undeformed_metric)
-from .numeric import (FDGrid, fd_bound_spectrum, fd_eigenpairs,
-                      integrate_adaptive, ode_transmission_oracle)
+from .numeric import (fd_bound_spectrum, fd_eigenpairs, integrate_adaptive,
+                      ode_transmission_oracle)
 from .scattering import (ScatteringScenario, ScatteringSolution, SweepResult,
                          outside_wavevector, probability_current,
                          region_roots, solve_scattering, transmission_sweep)
@@ -26,7 +26,7 @@ from .spectrum import (ModeNumbers, WavefunctionSample, bound_wavefunction,
 
 __all__ = [
     "COVARIANT", "CONTRAVARIANT", "ConfigError", "CurvatureData",
-    "CylinderGeometry", "EigensolverFailure", "FDGrid", "IntegratorFailure",
+    "CylinderGeometry", "EigensolverFailure", "IntegratorFailure",
     "Metric2", "ModeNumbers", "NoPropagatingChannel", "PhysicsParams",
     "QuadratureFailure", "ScatteringScenario", "ScatteringSolution",
     "SingularMetric", "Strain2", "SweepResult", "ThresholdDegeneracy",

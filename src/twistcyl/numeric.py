@@ -1,18 +1,18 @@
 """Numerical kernels and independent oracles.
 
-Contains a finite-difference eigensolver for the longitudinal mode equation
-(the cross check on the closed-form spectrum), a direct ODE-integration
-transmission oracle (the cross check on the closed-form scattering solution),
-and an adaptive Simpson quadrature used for twist-phase integrals. All three
-run on numpy alone: the eigensolver's shifted solves use a pivoted
-tridiagonal elimination, and the oracle propagates the constant-coefficient
-mode equation with powers of one classical Runge-Kutta step.
+Contains an eigen-oracle for the longitudinal mode equation (the cross check
+on the closed-form spectrum), a direct ODE-integration transmission oracle
+(the cross check on the closed-form scattering solution), and an adaptive
+Simpson quadrature used for twist-phase integrals. All three run on numpy
+alone: the eigen-oracle diagonalises a Chebyshev collocation of the literal
+twisted operator with ``np.linalg``, and the ODE oracle propagates the
+constant-coefficient mode equation with powers of one classical Runge-Kutta
+step. Neither uses a closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,195 +22,112 @@ from .errors import (EigensolverFailure, IntegratorFailure,
 from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                        da_costa_potential, surface_curvatures)
 
-_EIG_MAX_ITER = 80
 _RK4_LOG2_STEP = 10  # ODE oracle: h max(1, max|A_ij|) <= 2^-_RK4_LOG2_STEP
+_IMAG_RTOL = 1e-9  # eigen-oracle: largest imaginary part accepted, relative
 
 
-@dataclass(frozen=True)
-class FDGrid:
-    """Interior-node grid for the Dirichlet problem Z(0) = Z(L) = 0.
+def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
+                   phys: PhysicsParams, points: int):
+    """Chebyshev collocation matrix of the literal longitudinal mode operator.
 
-    With N interior points the spacing is h = L/(N+1) and the unknowns live
-    at z_i = i h, i = 1..N; the endpoints are eliminated by the boundary
-    condition.
-    """
-
-    points: int
-
-    def __post_init__(self):
-        if self.points < 16:
-            raise ValueError("need at least 16 interior points")
-
-    def spacing(self, length: float) -> float:
-        return length / (self.points + 1)
-
-    def nodes(self, length: float) -> np.ndarray:
-        h = self.spacing(length)
-        return h * np.arange(1, self.points + 1)
-
-
-def _fd_bands(l: int, geom: CylinderGeometry, twist: TwistProfile,
-              phys: PhysicsParams, n_points: int):
-    """Tridiagonal bands of the discretized longitudinal mode operator.
-
-    Central differences on
         -t Z'' + 2 i l t f(z) Z' + [V_g + t (f^2 + 1/R^2) l^2 + i l t f'(z)] Z
-    with t = hbar^2/(2m). For constant twist the matrix is Hermitian; for a
-    z-dependent profile it is not, but its spectrum is still real up to
-    discretization error because the first-derivative term can be removed by
-    a phase change of the unknowns.
+
+    with t = hbar^2/(2m), on the Gauss-Lobatto points x_j = cos(j pi / N),
+    j = 0..N, mapped to z = L (1 - x)/2. D is the differentiation matrix of
+    Trefethen's cheb.m (Spectral Methods in MATLAB, SIAM 2000), with its
+    diagonal set by the negative-sum trick. Dropping the first and last rows
+    and columns imposes Z(0) = Z(L) = 0. For a z-dependent twist the matrix
+    is not Hermitian, but its spectrum is still real because the first-
+    derivative term can be removed by a phase change of the unknowns.
+    Returns the matrix and the N - 1 interior nodes.
     """
-    length = geom.length
-    h = length / (n_points + 1)
-    z = h * np.arange(1, n_points + 1)
+    j = np.arange(points + 1)
+    x = np.cos(np.pi * j / points)
+    c = np.where((j == 0) | (j == points), 2.0, 1.0) * (-1.0)**j
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(points + 1))
+    d -= np.diag(d.sum(axis=1))
+    d *= -2.0 / geom.length  # d/dz = -(2/L) d/dx
+    d1 = d[1:-1, 1:-1]
+    d2 = (d @ d)[1:-1, 1:-1]
+    z = 0.5 * geom.length * (1.0 - x[1:-1])
     t = phys.hbar2_over_2m
     f = np.array([twist.f(zi) for zi in z])
     fp = np.array([twist.f_prime(zi) for zi in z])
     v_g = da_costa_potential(surface_curvatures(geom, 0.0), phys)
-
-    diag = (2.0 * t / h**2
-            + v_g + t * (f**2 + 1.0 / geom.radius**2) * l**2
-            + 1j * l * t * fp)
-    # i l (hbar^2/m) f Z' -> +/- i l t f_i / h on the two neighbours of row i
-    gamma = l * t * f / h
-    upper = -t / h**2 + 1j * gamma[:-1]   # row i, column i+1
-    lower = -t / h**2 - 1j * gamma[1:]    # row i+1, column i
-    return lower.astype(complex), diag.astype(complex), upper.astype(complex), z
-
-
-def _band_matvec(lower, diag, upper, v):
-    out = diag * v
-    out[:-1] += upper * v[1:]
-    out[1:] += lower * v[:-1]
-    return out
-
-
-def _solve_tridiagonal(lower, diag, upper, rhs):
-    """Solve a tridiagonal system by Gaussian elimination with partial pivoting.
-
-    ``lower[i]`` is A[i+1, i] and ``upper[i]`` is A[i, i+1]. As in LAPACK
-    gtsv, a row swap fills in a second superdiagonal ``du2``. The recurrence
-    runs on Python complex scalars, which are faster than element access
-    into numpy arrays. A zero pivot raises ZeroDivisionError.
-    """
-    dl = lower.tolist()
-    d = diag.tolist()
-    du = upper.tolist() + [0j]
-    b = rhs.tolist()
-    n = len(d)
-    du2 = [0j] * (n + 1)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] -= fact * du[i]
-            b[i + 1] -= fact * b[i]
-        else:  # swap rows i and i+1, then eliminate
-            fact = d[i] / dl[i]
-            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
-            du2[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-    x = [0j] * (n + 2)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-    return np.array(x[:n])
-
-
-def _inverse_iteration(lower, diag, upper, shift, seed):
-    """Eigenpair nearest to ``shift`` by shifted inverse iteration.
-
-    The shifts come from excellent analytic guesses, so a handful of solves
-    converges to rounding level. Right and left vectors are iterated
-    together and the eigenvalue is the two-sided Rayleigh quotient, which
-    stays second-order accurate in the residual even when a z-dependent
-    twist makes the matrix non-Hermitian. Convergence is judged on the
-    residual, whose floor is set by rounding at the matrix scale.
-    """
-    shifted = diag - shift
-    # bands of (A - shift I)^H for the left vector
-    lower_h, diag_h, upper_h = np.conj(upper), np.conj(shifted), np.conj(lower)
-
-    norm_a = (np.max(np.abs(diag)) + np.max(np.abs(upper))
-              + np.max(np.abs(lower)))
-    x = seed / np.linalg.norm(seed)
-    y = x.copy()
-    best = None
-    best_res = np.inf
-    for _ in range(_EIG_MAX_ITER):
-        x = _solve_tridiagonal(lower, shifted, upper, x)
-        x = x / np.linalg.norm(x)
-        y = _solve_tridiagonal(lower_h, diag_h, upper_h, y)
-        y = y / np.linalg.norm(y)
-        ax = _band_matvec(lower, diag, upper, x)
-        lam = np.vdot(y, ax) / np.vdot(y, x)
-        res = np.linalg.norm(ax - lam * x)
-        if res < best_res:
-            best, best_res = (lam, x), res
-        if res <= 1e-13 * norm_a:
-            break
-        if res > 0.5 * best_res:
-            break  # residual at its rounding floor, stop polishing
-    lam, x = best
-    if best_res > 1e-10 * norm_a:
+    potential = (v_g + t * (f**2 + 1.0 / geom.radius**2) * l**2
+                 + 1j * l * t * fp)
+    op = -t * d2 + (2j * l * t * f)[:, None] * d1 + np.diag(potential)
+    if not np.all(np.isfinite(op)):
         raise EigensolverFailure(
-            f"residual {best_res:.3e} too large near shift {shift}")
-    return lam, x
+            f"mode operator not finite for l = {l}, {geom}")
+    return op, z
+
+
+def _lowest(values: np.ndarray, count: int, geom: CylinderGeometry,
+            phys: PhysicsParams) -> np.ndarray:
+    """Indices of the ``count`` eigenvalues of least real part, checked real.
+
+    The imaginary part may be at most 1e-9 of the eigenvalue's modulus, or
+    of the box scale t/L^2 when the eigenvalue is smaller.
+    """
+    if not np.all(np.isfinite(values)):
+        raise EigensolverFailure("collocation spectrum not finite")
+    order = np.argsort(values.real)[:count]
+    low = values[order]
+    scale = np.maximum(np.abs(low), phys.hbar2_over_2m / geom.length**2)
+    worst = float(np.max(np.abs(low.imag) / scale))
+    if worst > _IMAG_RTOL:
+        raise EigensolverFailure(
+            f"collocation spectrum not real: imaginary part {worst:.3e}")
+    return order
+
+
+def _check_points(points: int, count: int):
+    # only about 2/pi of a collocation spectrum is accurate (Weideman &
+    # Trefethen, SIAM J. Numer. Anal. 25, 1279 (1988)); a quarter leaves room
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if points < 4 * count:
+        raise ValueError(
+            f"{points} collocation points are too few for {count} modes; "
+            f"need at least {4 * count}")
 
 
 def fd_eigenpairs(l: int, geom: CylinderGeometry, twist: TwistProfile,
-                  phys: PhysicsParams, n_points: int, count: int):
-    """Lowest ``count`` eigenpairs of the discretized mode operator.
+                  phys: PhysicsParams, count: int, points: int = 48):
+    """Lowest ``count`` eigenpairs of the collocated mode operator.
 
-    Returns (values, vectors, nodes) on a single grid; values are complex so
-    callers can inspect the (discretization-level) imaginary parts. Shifts
-    and seed vectors come from the closed-form box spectrum; the converged
-    pair is a property of the matrix alone.
+    The name is historical: the oracle was a finite-difference solver and is
+    now Chebyshev collocation of order ``points``, see ``_mode_operator``.
+    Returns (values, vectors, nodes): complex values, so callers can inspect
+    the rounding-level imaginary parts, unit-norm vectors on the interior
+    nodes, and those nodes. No closed form enters: the pairs come from
+    ``np.linalg.eig`` of the literal operator.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if count * np.pi / (n_points + 1) >= 0.3:
-        raise ValueError("grid too coarse for the requested mode count")
-    lower, diag, upper, z = _fd_bands(l, geom, twist, phys, n_points)
-    t = phys.hbar2_over_2m
-    v_star = t * (l**2 - 0.25) / geom.radius**2
-
-    # accumulated twist phase at the nodes, for seed vectors only
-    z_full = np.concatenate(([0.0], z))
-    f_full = np.array([twist.f(zi) for zi in z_full])
-    theta = np.cumsum(0.5 * (f_full[1:] + f_full[:-1]) * np.diff(z_full))
-
-    values = np.empty(count, dtype=complex)
-    vectors = np.empty((z.size, count), dtype=complex)
-    for n in range(1, count + 1):
-        shift = t * (n * np.pi / geom.length)**2 + v_star
-        seed = np.sin(n * np.pi * z / geom.length) * np.exp(1j * l * theta)
-        lam, vec = _inverse_iteration(lower, diag, upper, shift, seed)
-        values[n - 1] = lam
-        vectors[:, n - 1] = vec
-    order = np.argsort(values.real)
+    _check_points(points, count)
+    op, z = _mode_operator(l, geom, twist, phys, points)
+    values, vectors = np.linalg.eig(op)
+    order = _lowest(values, count, geom, phys)
     return values[order], vectors[:, order], z
 
 
 def fd_bound_spectrum(l: int, geom: CylinderGeometry, twist: TwistProfile,
-                      phys: PhysicsParams, grid: FDGrid, count: int) -> np.ndarray:
-    """Richardson-extrapolated bound-state energies from the FD oracle.
+                      phys: PhysicsParams, count: int,
+                      points: int = 48) -> np.ndarray:
+    """Lowest ``count`` bound-state energies from the eigen-oracle, ascending.
 
-    Eigenvalues are computed on ``grid.points`` and twice that many interior
-    nodes and combined with the exact-h^2 two-grid formula. The result must
-    be real to 1e-9; a larger imaginary remainder means the discretization
-    went wrong and raises EigensolverFailure.
+    The name is historical: the values are the eigenvalues of least real
+    part of the Chebyshev collocation of order ``points``
+    (``np.linalg.eigvals``), with no extrapolation. The default order
+    resolves the lowest modes to about 1e-13 while the twist phase
+    l theta(L) stays below about 30 rad; past that, raise ``points``. A
+    non-finite operator or spectrum, or an imaginary part above 1e-9
+    relative, raises EigensolverFailure.
     """
-    n1 = grid.points
-    n2 = 2 * grid.points
-    v1, _, _ = fd_eigenpairs(l, geom, twist, phys, n1, count)
-    v2, _, _ = fd_eigenpairs(l, geom, twist, phys, n2, count)
-    h1 = geom.length / (n1 + 1)
-    h2 = geom.length / (n2 + 1)
-    lam = (h1**2 * v2 - h2**2 * v1) / (h1**2 - h2**2)
-    worst = np.max(np.abs(lam.imag) / np.maximum(1.0, np.abs(lam)))
-    if worst > 1e-9:
-        raise EigensolverFailure(
-            f"extrapolated spectrum not real: imaginary part {worst:.3e}")
-    return np.sort(lam.real)
+    _check_points(points, count)
+    op, _ = _mode_operator(l, geom, twist, phys, points)
+    values = np.linalg.eigvals(op)
+    return np.sort(values[_lowest(values, count, geom, phys)].real)
 
 
 def ode_transmission_oracle(energy: float, scenario) -> tuple[float, float]:

@@ -179,15 +179,17 @@ def _solve_batch(energies: np.ndarray, scenario: ScatteringScenario):
     l_alpha = scenario.mode.l * scenario.alpha
     length = scenario.geom.length
     ik = 1j * k
-    e1 = np.exp(r1 * length)    # decaying mode across the section
-    e2 = np.exp(-r2 * length)   # growing mode, written about z = L
     p1, p2 = r1 - 1j * l_alpha, r2 - 1j * l_alpha
     # continuity of Z gives r = (A - 1) + e2 B~ and t~ = e1 A + B~; the current
     # conditions then leave (ik + p1) A + (ik + p2) e2 B~ = 2ik and
     # (p1 - ik) e1 A + (p2 - ik) B~ = 0, solved by Cramer's rule. e1 e2 stays
     # the product of the rounded exponentials, so its phase matches theirs.
-    det = (ik + p1) * (p2 - ik) - (ik + p2) * e2 * (p1 - ik) * e1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # r L may overflow to -inf in the exponent: e^{-inf} = 0 is the decaying
+    # limit, and anything not finite left over is flagged by the caller.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        e1 = np.exp(r1 * length)    # decaying mode across the section
+        e2 = np.exp(-r2 * length)   # growing mode, written about z = L
+        det = (ik + p1) * (p2 - ik) - (ik + p2) * e2 * (p1 - ik) * e1
         a_amp = 2.0 * ik * (p2 - ik) / det
         b_scaled = -2.0 * ik * (p1 - ik) * e1 / det
         r_amp = (a_amp - 1.0) + e2 * b_scaled

@@ -4,7 +4,7 @@ phase, eigenenergies, and sampled wavefunctions.
 The twist enters the longitudinal problem only through a removable phase, so
 the spectrum and the probability density carry no twist dependence at all;
 ``eigenenergy`` therefore takes no twist argument by design, and the
-finite-difference oracle in ``numeric`` confirms that choice numerically.
+collocation eigen-oracle in ``numeric`` confirms that choice numerically.
 """
 
 from __future__ import annotations
@@ -38,10 +38,12 @@ def effective_potential(mode: ModeNumbers, geom: CylinderGeometry,
     """Raw mode-l potential (hbar^2 / 2 m R^2) (g_zz l^2 - 1/4), g_zz = 1 + R^2 a^2.
 
     The centrifugal term carries the twist through g_zz; the phase transform
-    removes it again, see ``gauge_potential_star``.
+    removes it again, see ``gauge_potential_star``. It is evaluated as
+    t [(l^2 - 1/4)/R^2 + (a l)^2], so R^2 a^2 cannot overflow when the
+    potential itself is finite.
     """
-    g_zz = 1.0 + geom.radius**2 * alpha**2
-    return phys.hbar2_over_2m * (g_zz * mode.l**2 - 0.25) / geom.radius**2
+    return phys.hbar2_over_2m * ((mode.l**2 - 0.25) / geom.radius**2
+                                 + (alpha * mode.l)**2)
 
 
 def gauge_potential_star(mode: ModeNumbers, geom: CylinderGeometry,
@@ -69,7 +71,7 @@ def no_bound_states_below(mode: ModeNumbers, geom: CylinderGeometry,
     Solutions under the phase-transformed potential are sinh-type there and
     cannot satisfy both hard-wall conditions, so any correct spectrum lies
     strictly above the returned value. Test harnesses assert the
-    finite-difference oracle finds nothing at or below it.
+    eigen-oracle finds nothing at or below it.
     """
     return gauge_potential_star(mode, geom, phys)
 

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report. Tolerances are fixed here, not tuned: closed forms against the
-finite-difference and ODE oracles, twist invariance at full strength, and
+collocation eigen-oracle and the ODE oracle, twist invariance at full strength, and
 byte-level determinism of the CLI artifacts.
 """
 
@@ -16,7 +16,7 @@ from twistcyl.cli import main
 from twistcyl.geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                                da_costa_potential, metric_from_embedding_fd,
                                surface_curvatures, twisted_metric)
-from twistcyl.numeric import (FDGrid, fd_bound_spectrum, fd_eigenpairs,
+from twistcyl.numeric import (fd_bound_spectrum, fd_eigenpairs,
                               ode_transmission_oracle)
 from twistcyl.scattering import (FLAG_OK, ScatteringScenario,
                                  solve_scattering, transmission_sweep)
@@ -47,14 +47,14 @@ def test_criterion_1_spectrum_matches_closed_form():
             geom = CylinderGeometry(radius, length)
             for l in (-2, -1, 0, 1, 2):
                 vals = fd_bound_spectrum(l, geom, TwistProfile.constant(0.0),
-                                         PHYS, FDGrid(2000), 3)
+                                         PHYS, 3)
                 for n, val in zip((1, 2, 3), vals):
                     exact = eigenenergy(ModeNumbers(l=l, n=n), geom, PHYS)
                     worst = max(worst, abs(val - exact) / abs(exact))
     elapsed = time.monotonic() - started
-    ok = worst <= 1e-6 and elapsed < 30.0
-    _report("1 spectrum-fd-oracle", ok,
-            f"max rel err {worst:.2e} (tol 1e-6), runtime {elapsed:.1f}s < 30s")
+    ok = worst <= 1e-10 and elapsed < 30.0
+    _report("1 spectrum-eigen-oracle", ok,
+            f"max rel err {worst:.2e} (tol 1e-10), runtime {elapsed:.1f}s < 30s")
 
 
 def test_criterion_2_energies_twist_invariant():
@@ -62,7 +62,7 @@ def test_criterion_2_energies_twist_invariant():
     for radius in (1.0, 2.0):
         geom = CylinderGeometry(radius, 1.0)
         for l in (0, 1, 2):
-            spectra = [fd_bound_spectrum(l, geom, twist, PHYS, FDGrid(2000), 3)
+            spectra = [fd_bound_spectrum(l, geom, twist, PHYS, 3)
                        for twist in TWISTS.values()]
             for i in range(len(spectra)):
                 for j in range(i + 1, len(spectra)):
@@ -71,14 +71,14 @@ def test_criterion_2_energies_twist_invariant():
     phase_worst = 0.0
     for l in (1, 2):
         for twist in (TwistProfile.constant(0.5), TwistProfile.linear_ramp(0.3)):
-            _, vecs, z = fd_eigenpairs(l, GEOM, twist, PHYS, 2000, 1)
+            _, vecs, z = fd_eigenpairs(l, GEOM, twist, PHYS, 1)
             theta = np.array([twist_phase(twist, l, zi) for zi in z])
             drift = np.unwrap(np.angle(vecs[:, 0]) - theta)
             phase_worst = max(phase_worst, float(drift.max() - drift.min()))
-    ok = worst <= 1e-6 and phase_worst <= 1e-4
+    ok = worst <= 1e-10 and phase_worst <= 1e-10
     _report("2 twist-invariant-energies", ok,
-            f"max pairwise rel spread {worst:.2e} (tol 1e-6), "
-            f"max phase drift {phase_worst:.2e} (tol 1e-4)")
+            f"max pairwise rel spread {worst:.2e} (tol 1e-10), "
+            f"max phase drift {phase_worst:.2e} (tol 1e-10)")
 
 
 def test_criterion_3_density_twist_independent():
@@ -239,11 +239,11 @@ def test_criterion_8_no_subthreshold_states():
             geom = CylinderGeometry(radius, 1.0)
             floor = no_bound_states_below(ModeNumbers(l=l), geom, PHYS)
             for twist in TWISTS.values():
-                vals = fd_bound_spectrum(l, geom, twist, PHYS, FDGrid(800), 3)
+                vals = fd_bound_spectrum(l, geom, twist, PHYS, 3)
                 margin = min(margin, float(np.min(vals) - floor))
     ok = margin > 0.0
     _report("8 no-subthreshold-states", ok,
-            f"smallest FD margin above the floor {margin:.3e}")
+            f"smallest eigen-oracle margin above the floor {margin:.3e}")
 
 
 def test_criterion_9_determinism(tmp_path):

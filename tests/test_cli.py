@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -380,6 +381,49 @@ def test_arithmetic_error_is_numerics_exit(tmp_path, capsys, command, key,
     assert err.startswith("error: numerics: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def _quiet_scatter_free(tmp_path, capsys, text):
+    """Rows of a scatter-free run that must exit 0 with warnings as errors
+    and an empty stderr."""
+    cfg = write(tmp_path, "run.ini", text)
+    out = tmp_path / "scatter.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scatter-free", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    return [line.split(",") for line in out.read_text().splitlines()[3:]]
+
+
+def test_long_thin_section_is_quiet_decaying_limit(tmp_path, capsys):
+    # r L overflows to -inf in the exponent; e^{-inf} = 0 is the exact
+    # decaying limit, so every row is a correct ok row
+    text = (SCATTER.replace("radius = 1.0", "radius = 1e-150")
+            .replace("length = 1.0", "length = 1e300"))
+    rows = _quiet_scatter_free(tmp_path, capsys, text)
+    assert len(rows) == 20
+    assert all(row[1:] == ["0", "1", "ok"] for row in rows)
+
+
+def test_wide_cylinder_large_twist_and_l_stays_finite(tmp_path, capsys):
+    # g_zz l^2 / R^2 with g_zz = 1 + R^2 a^2 would overflow (R^2 a^2 is
+    # 2.5e299, l^2 1e12) although the potential, about (a l)^2 / 2, is finite.
+    # The section is transparent up to the rounding of the (a l)^2
+    # cancellation in the region roots, eps (a l)^2 ~ 3e-5 against E / t.
+    text = (SCATTER.replace("radius = 1.0", "radius = 1e150")
+            .replace("l = 1\n", "l = 1000000\n"))
+    rows = _quiet_scatter_free(tmp_path, capsys, text)
+    assert len(rows) == 20
+    for _, trans, refl, flag in rows:
+        assert flag == "ok"
+        assert abs(float(trans) + float(refl) - 1.0) <= 1e-12
+        assert abs(float(trans) - 1.0) <= 1e-8
+
+
+def test_every_export_resolves():
+    assert len(set(twistcyl.__all__)) == len(twistcyl.__all__)
+    for name in twistcyl.__all__:
+        assert hasattr(twistcyl, name), name
 
 
 @pytest.mark.parametrize("module", ["twistcyl", "twistcyl.cli"])

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
 
-from twistcyl.errors import (IntegratorFailure, NoPropagatingChannel,
-                             QuadratureFailure)
+from twistcyl.errors import (EigensolverFailure, IntegratorFailure,
+                             NoPropagatingChannel, QuadratureFailure)
 from twistcyl.geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                                da_costa_potential, surface_curvatures)
-from twistcyl.numeric import (FDGrid, _band_matvec, _fd_bands,
-                              _solve_tridiagonal,
-                              fd_bound_spectrum, fd_eigenpairs,
-                              integrate_adaptive, ode_transmission_oracle)
+from twistcyl.numeric import (_mode_operator, fd_bound_spectrum,
+                              fd_eigenpairs, integrate_adaptive,
+                              ode_transmission_oracle)
 from twistcyl.scattering import ScatteringScenario, solve_scattering
 from twistcyl.spectrum import (ModeNumbers, eigenenergy,
                                no_bound_states_below, twist_phase)
@@ -51,168 +49,153 @@ def test_quadrature_depth_limit():
                            tol=1e-14, max_depth=6)
 
 
-# --- tridiagonal solve, against scipy's banded LAPACK solve -------------------
+# --- Chebyshev collocation eigen-oracle --------------------------------------
 
-def _banded_reference(lower, diag, upper, rhs):
-    ab = np.zeros((3, diag.size), dtype=complex)
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return solve_banded((1, 1), ab, rhs)
+# Test names with "fd" or "solve_tridiagonal" are historical: the oracle was a
+# finite-difference inverse iteration with a tridiagonal solver.
 
-
-def _random_complex(rng, size):
-    return rng.normal(size=size) + 1j * rng.normal(size=size)
-
-
-def _assert_solves_like_lapack(lower, diag, upper, rhs, rtol):
-    got = _solve_tridiagonal(lower, diag, upper, rhs)
-    ref = _banded_reference(lower, diag, upper, rhs)
-    assert np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize("n", [2, 3, 16, 800, 4000])
-def test_solve_tridiagonal_random_complex(n):
-    rng = np.random.default_rng(n)
-    lower, diag, upper, rhs = (_random_complex(rng, m)
-                               for m in (n - 1, n, n - 1, n))
-    _assert_solves_like_lapack(lower, diag, upper, rhs, 1e-12)
-
-
-@pytest.mark.parametrize("n", [2, 3, 16, 801])
-def test_solve_tridiagonal_needs_row_swaps(n):
-    # a zero or tiny diagonal defeats elimination without pivoting; the
-    # zero-diagonal matrix is nonsingular only for even n
-    rng = np.random.default_rng(40 + n)
-    lower, upper, rhs = (_random_complex(rng, m) for m in (n - 1, n - 1, n))
-    diag = 1e-9 * _random_complex(rng, n)
-    if n % 2 == 0:
-        diag[::2] = 0.0
-    _assert_solves_like_lapack(lower, diag, upper, rhs, 1e-12)
-    mixed = _random_complex(rng, n)
-    mixed[::3] *= 1e-8  # swaps at some rows only
-    _assert_solves_like_lapack(lower, mixed, upper, rhs, 1e-12)
-
-
-def test_solve_tridiagonal_zero_pivot_raises():
-    zero = np.zeros(1, dtype=complex)
-    with pytest.raises(ZeroDivisionError):
-        _solve_tridiagonal(zero, np.zeros(2, dtype=complex), zero,
-                           np.ones(2, dtype=complex))
+def test_fd_grid_contract():
+    # the interior Gauss-Lobatto nodes, mapped to [0, L], ascending and
+    # symmetric about L/2
+    n, length = 10, 2.5
+    geom = CylinderGeometry(radius=1.0, length=length)
+    _, _, z = fd_eigenpairs(0, geom, TwistProfile.constant(0.0), PHYS, 1,
+                            points=n)
+    assert z.size == n - 1
+    assert z[0] == pytest.approx(0.5 * length * (1.0 - np.cos(np.pi / n)),
+                                 abs=1e-15)
+    assert np.all(np.diff(z) > 0.0) and z[0] > 0.0 and z[-1] < length
+    assert np.max(np.abs(z + z[::-1] - length)) <= 1e-15 * length
+    with pytest.raises(ValueError):
+        fd_eigenpairs(0, geom, TwistProfile.constant(0.0), PHYS, 1, points=3)
 
 
 @pytest.mark.parametrize("twist", [TwistProfile.constant(0.7),
                                    TwistProfile.linear_ramp(0.3)])
 def test_solve_tridiagonal_shifted_fd_operator(twist):
-    # the nearly singular systems of inverse iteration, right and left: the
-    # solutions differ in size by up to cond * eps, so compare what inverse
-    # iteration uses, the direction, and require a backward error as small
-    # as LAPACK's
-    lower, diag, upper, z = _fd_bands(1, GEOM, twist, PHYS, 800)
-    vals, _, _ = fd_eigenpairs(1, GEOM, twist, PHYS, 800, 2)
-    norm_a = (np.max(np.abs(diag)) + np.max(np.abs(upper))
-              + np.max(np.abs(lower)))
+    # the nearly singular shifted systems that inverse iteration solves, now
+    # dense: two steps from a random start must land on the vector that
+    # fd_eigenpairs pairs with each value, and each pair must have a
+    # backward error at rounding level
+    op, z = _mode_operator(1, GEOM, twist, PHYS, 48)
+    vals, vecs, nodes = fd_eigenpairs(1, GEOM, twist, PHYS, 2)
+    assert np.array_equal(z, nodes)
+    norm_a = np.linalg.norm(op, 1)
     rng = np.random.default_rng(7)
-    for lam in vals:
+    for lam, v in zip(vals, vecs.T):
+        assert (np.linalg.norm(op @ v - lam * v)
+                <= 1e-15 * norm_a * np.linalg.norm(v))
         for offset in (1e-6, 1e-9, 1e-12):
-            shifted = diag - lam * (1.0 + offset)
-            for bands in ((lower, shifted, upper),
-                          (np.conj(upper), np.conj(shifted), np.conj(lower))):
-                rhs = _random_complex(rng, z.size)
-                got = _solve_tridiagonal(*bands, rhs)
-                ref = _banded_reference(*bands, rhs)
-                backward = [np.linalg.norm(_band_matvec(*bands, x) - rhs)
-                            / (norm_a * np.linalg.norm(x)) for x in (got, ref)]
-                assert backward[0] <= max(10.0 * backward[1], 1e-15)
-                u = got / np.linalg.norm(got)
-                v = ref / np.linalg.norm(ref)
-                phase = np.vdot(v, u)
-                assert np.linalg.norm(u - v * phase / abs(phase)) <= 1e-9
-
-
-# --- finite-difference eigensolver -------------------------------------------
-
-def test_fd_grid_contract():
-    grid = FDGrid(99)
-    assert grid.spacing(1.0) == pytest.approx(0.01, abs=1e-15)
-    assert grid.nodes(1.0)[0] == pytest.approx(0.01, abs=1e-15)
-    with pytest.raises(ValueError):
-        FDGrid(8)
+            shifted = op - lam * (1.0 + offset) * np.eye(z.size)
+            u = rng.normal(size=z.size) + 1j * rng.normal(size=z.size)
+            for _ in range(2):
+                u = np.linalg.solve(shifted, u)
+                u /= np.linalg.norm(u)
+            phase = np.vdot(v, u)
+            assert np.linalg.norm(u - v * phase / abs(phase)) <= 1e-9
 
 
 def test_fd_spectrum_matches_closed_form():
-    vals = fd_bound_spectrum(0, GEOM, TwistProfile.constant(0.0), PHYS,
-                             FDGrid(2000), 3)
+    vals = fd_bound_spectrum(0, GEOM, TwistProfile.constant(0.0), PHYS, 3)
     for n, val in zip((1, 2, 3), vals):
         exact = eigenenergy(ModeNumbers(l=0, n=n), GEOM, PHYS)
-        assert abs(val - exact) / abs(exact) <= 1e-6
+        assert abs(val - exact) / abs(exact) <= 1e-10
 
 
 def test_fd_spectrum_twist_invariant_constant():
-    base = fd_bound_spectrum(1, GEOM, TwistProfile.constant(0.0), PHYS,
-                             FDGrid(2000), 3)
-    twisted = fd_bound_spectrum(1, GEOM, TwistProfile.constant(0.7), PHYS,
-                                FDGrid(2000), 3)
-    assert np.max(np.abs(twisted - base) / np.abs(base)) <= 1e-6
+    base = fd_bound_spectrum(1, GEOM, TwistProfile.constant(0.0), PHYS, 3)
+    twisted = fd_bound_spectrum(1, GEOM, TwistProfile.constant(0.7), PHYS, 3)
+    assert np.max(np.abs(twisted - base) / np.abs(base)) <= 1e-10
 
 
 def test_fd_spectrum_twist_invariant_profiled():
-    base = fd_bound_spectrum(1, GEOM, TwistProfile.constant(0.0), PHYS,
-                             FDGrid(2000), 3)
-    ramp = fd_bound_spectrum(1, GEOM, TwistProfile.linear_ramp(0.3), PHYS,
-                             FDGrid(2000), 3)
-    assert np.max(np.abs(ramp - base) / np.abs(base)) <= 1e-6
+    base = fd_bound_spectrum(1, GEOM, TwistProfile.constant(0.0), PHYS, 3)
+    ramp = fd_bound_spectrum(1, GEOM, TwistProfile.linear_ramp(0.3), PHYS, 3)
+    assert np.max(np.abs(ramp - base) / np.abs(base)) <= 1e-10
 
 
 def test_fd_with_twist_matches_twistless_closed_form():
-    # the closed form takes no twist argument; the FD operator carries the
-    # full twist terms and still lands on the same numbers
+    # the closed form takes no twist argument; the collocated operator
+    # carries the full twist terms and still lands on the same numbers
     for twist in (TwistProfile.constant(0.7), TwistProfile.linear_ramp(0.3)):
-        vals = fd_bound_spectrum(2, GEOM, twist, PHYS, FDGrid(2000), 3)
+        vals = fd_bound_spectrum(2, GEOM, twist, PHYS, 3)
         for n, val in zip((1, 2, 3), vals):
             exact = eigenenergy(ModeNumbers(l=2, n=n), GEOM, PHYS)
-            assert abs(val - exact) / abs(exact) <= 1e-6
+            assert abs(val - exact) / abs(exact) <= 1e-10
 
 
 def test_fd_eigenvalues_real_despite_complex_matrix():
     for twist in (TwistProfile.constant(0.8), TwistProfile.linear_ramp(0.3)):
-        n1, n2 = 1000, 2000
-        v1, _, _ = fd_eigenpairs(1, GEOM, twist, PHYS, n1, 3)
-        v2, _, _ = fd_eigenpairs(1, GEOM, twist, PHYS, n2, 3)
-        h1, h2 = 1.0 / (n1 + 1), 1.0 / (n2 + 1)
-        lam = (h1**2 * v2 - h2**2 * v1) / (h1**2 - h2**2)
-        assert np.max(np.abs(lam.imag) / np.maximum(1.0, np.abs(lam))) <= 1e-9
+        vals, _, _ = fd_eigenpairs(1, GEOM, twist, PHYS, 3)
+        assert np.max(np.abs(vals.imag) / np.abs(vals)) <= 1e-12
 
 
 def test_fd_error_scales_as_h_squared():
+    # halving the node spacing cut the old second-order error by 4; the
+    # collocation error falls spectrally, by far more
     exact = eigenenergy(ModeNumbers(l=0, n=1), GEOM, PHYS)
     twist = TwistProfile.constant(0.0)
-    coarse, _, _ = fd_eigenpairs(0, GEOM, twist, PHYS, 200, 1)
-    fine, _, _ = fd_eigenpairs(0, GEOM, twist, PHYS, 401, 1)  # h exactly halved
+    coarse, _, _ = fd_eigenpairs(0, GEOM, twist, PHYS, 1, points=6)
+    fine, _, _ = fd_eigenpairs(0, GEOM, twist, PHYS, 1, points=12)
     ratio = abs(coarse[0].real - exact) / abs(fine[0].real - exact)
-    assert ratio >= 3.5
+    assert ratio >= 1e6
+
+
+@st.composite
+def collocation_cases(draw):
+    """A geometry over R in [0.3, 3], L in [0.2, 5], |l| <= 3, with a constant
+    twist in [0, 2] or a ramp a0 z in [0, 0.3]: twist phases l theta(L) up
+    to 30 rad, which 48 points still resolve."""
+    geom = CylinderGeometry(draw(st.floats(0.3, 3.0)), draw(st.floats(0.2, 5.0)))
+    twist = draw(st.one_of(st.floats(0.0, 2.0).map(TwistProfile.constant),
+                           st.floats(0.0, 0.3).map(TwistProfile.linear_ramp)))
+    return draw(st.integers(-3, 3)), geom, twist, draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(collocation_cases())
+def test_collocation_converges_from_n_to_2n(case):
+    # a spurious eigenvalue would move between orders; the lowest ones may
+    # not. Relative to the box scale t/L^2 where an eigenvalue nears zero.
+    l, geom, twist, count = case
+    coarse = fd_bound_spectrum(l, geom, twist, PHYS, count)
+    fine = fd_bound_spectrum(l, geom, twist, PHYS, count, points=96)
+    scale = np.maximum(np.abs(fine), PHYS.hbar2_over_2m / geom.length**2)
+    assert np.max(np.abs(coarse - fine) / scale) <= 1e-10
 
 
 def test_fd_eigenvector_phase_tracks_twist_integral():
     for twist in (TwistProfile.constant(0.5), TwistProfile.linear_ramp(0.3)):
-        _, vecs, z = fd_eigenpairs(1, GEOM, twist, PHYS, 2000, 1)
+        _, vecs, z = fd_eigenpairs(1, GEOM, twist, PHYS, 1)
         theta = np.array([twist_phase(twist, 1, zi) for zi in z])
         drift = np.unwrap(np.angle(vecs[:, 0]) - theta)
-        assert drift.max() - drift.min() <= 1e-4
+        assert drift.max() - drift.min() <= 1e-10
 
 
 def test_fd_no_eigenvalue_below_star_potential():
     for l in (0, 1, 2):
         floor = no_bound_states_below(ModeNumbers(l=l), GEOM, PHYS)
-        vals = fd_bound_spectrum(l, GEOM, TwistProfile.constant(0.6), PHYS,
-                                 FDGrid(800), 4)
+        vals = fd_bound_spectrum(l, GEOM, TwistProfile.constant(0.6), PHYS, 4)
         assert np.min(vals) > floor
 
 
 def test_fd_rejects_coarse_grid():
+    twist = TwistProfile.constant(0.0)
     with pytest.raises(ValueError):
-        fd_bound_spectrum(0, GEOM, TwistProfile.constant(0.0), PHYS,
-                          FDGrid(16), 3)
+        fd_bound_spectrum(0, GEOM, twist, PHYS, 3, points=11)
+    with pytest.raises(ValueError):
+        fd_eigenpairs(0, GEOM, twist, PHYS, 3, points=11)
+    with pytest.raises(ValueError):
+        fd_bound_spectrum(0, GEOM, twist, PHYS, 0)
+    assert fd_bound_spectrum(0, GEOM, twist, PHYS, 3, points=12).size == 3
+
+
+def test_fd_nan_twist_is_eigensolver_failure():
+    twist = TwistProfile.constant(float("nan"))
+    with pytest.raises(EigensolverFailure, match="not finite"):
+        fd_bound_spectrum(1, GEOM, twist, PHYS, 2)
+    with pytest.raises(EigensolverFailure, match="not finite"):
+        fd_eigenpairs(1, GEOM, twist, PHYS, 2)
 
 
 # --- ODE transmission oracle -------------------------------------------------
