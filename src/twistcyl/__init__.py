@@ -7,16 +7,15 @@ ODE-integration oracles.
 """
 
 from .errors import (ConfigError, EigensolverFailure, IntegratorFailure,
-                     NoPropagatingChannel, QuadratureFailure, SingularMetric,
-                     ThresholdDegeneracy, TwistCylError)
+                     NoPropagatingChannel, SingularMetric, ThresholdDegeneracy,
+                     TwistCylError)
 from .geometry import (COVARIANT, CONTRAVARIANT, CurvatureData,
                        CylinderGeometry, Metric2, PhysicsParams, Strain2,
                        TwistProfile, da_costa_potential, inverse_metric,
                        metric_from_embedding_fd, metric_from_strain,
                        strain_from_linear_twist, surface_curvatures,
                        twisted_metric, undeformed_metric)
-from .numeric import (fd_bound_spectrum, fd_eigenpairs, integrate_adaptive,
-                      ode_transmission_oracle)
+from .numeric import fd_bound_spectrum, fd_eigenpairs, ode_transmission_oracle
 from .scattering import (ScatteringScenario, ScatteringSolution, SweepResult,
                          outside_wavevector, probability_current,
                          region_roots, solve_scattering, transmission_sweep)
@@ -28,12 +27,11 @@ __all__ = [
     "COVARIANT", "CONTRAVARIANT", "ConfigError", "CurvatureData",
     "CylinderGeometry", "EigensolverFailure", "IntegratorFailure",
     "Metric2", "ModeNumbers", "NoPropagatingChannel", "PhysicsParams",
-    "QuadratureFailure", "ScatteringScenario", "ScatteringSolution",
-    "SingularMetric", "Strain2", "SweepResult", "ThresholdDegeneracy",
-    "TwistCylError", "TwistProfile", "WavefunctionSample",
-    "bound_wavefunction", "da_costa_potential", "effective_potential",
-    "eigenenergy", "fd_bound_spectrum", "fd_eigenpairs",
-    "gauge_potential_star", "integrate_adaptive", "inverse_metric",
+    "ScatteringScenario", "ScatteringSolution", "SingularMetric", "Strain2",
+    "SweepResult", "ThresholdDegeneracy", "TwistCylError", "TwistProfile",
+    "WavefunctionSample", "bound_wavefunction", "da_costa_potential",
+    "effective_potential", "eigenenergy", "fd_bound_spectrum",
+    "fd_eigenpairs", "gauge_potential_star", "inverse_metric",
     "list_bound_states", "metric_from_embedding_fd", "metric_from_strain",
     "no_bound_states_below", "ode_transmission_oracle", "outside_wavevector",
     "probability_current", "region_roots", "solve_scattering",

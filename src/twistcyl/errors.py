@@ -9,10 +9,6 @@ class SingularMetric(TwistCylError):
     """Metric determinant at or below the singularity tolerance."""
 
 
-class QuadratureFailure(TwistCylError):
-    """Adaptive quadrature exceeded its maximum recursion depth."""
-
-
 class ThresholdDegeneracy(TwistCylError):
     """Scattering energy sits inside the degenerate-roots window at threshold,
     or its matching system has no finite solution."""
@@ -23,11 +19,12 @@ class NoPropagatingChannel(TwistCylError):
 
 
 class EigensolverFailure(TwistCylError):
-    """Inverse iteration failed to converge or produced a non-real spectrum."""
+    """The eigen-oracle met a non-finite operator or spectrum, or a non-real
+    eigenvalue."""
 
 
 class IntegratorFailure(TwistCylError):
-    """Adaptive ODE integration failed its step control."""
+    """The ODE oracle's propagated solution is not finite."""
 
 
 class ConfigError(TwistCylError):

@@ -1,9 +1,8 @@
 """Numerical kernels and independent oracles.
 
 Contains an eigen-oracle for the longitudinal mode equation (the cross check
-on the closed-form spectrum), a direct ODE-integration transmission oracle
-(the cross check on the closed-form scattering solution), and an adaptive
-Simpson quadrature used for twist-phase integrals. All three run on numpy
+on the closed-form spectrum) and a direct ODE-integration transmission oracle
+(the cross check on the closed-form scattering solution). Both run on numpy
 alone: the eigen-oracle diagonalises a Chebyshev collocation of the literal
 twisted operator with ``np.linalg``, and the ODE oracle propagates the
 constant-coefficient mode equation with powers of one classical Runge-Kutta
@@ -13,12 +12,10 @@ step. Neither uses a closed form.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .errors import (EigensolverFailure, IntegratorFailure,
-                     NoPropagatingChannel, QuadratureFailure)
+from .errors import EigensolverFailure, IntegratorFailure, NoPropagatingChannel
 from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                        da_costa_potential, surface_curvatures)
 
@@ -51,8 +48,8 @@ def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
     d2 = (d @ d)[1:-1, 1:-1]
     z = 0.5 * geom.length * (1.0 - x[1:-1])
     t = phys.hbar2_over_2m
-    f = np.array([twist.f(zi) for zi in z])
-    fp = np.array([twist.f_prime(zi) for zi in z])
+    f = np.broadcast_to(twist.f(z), z.shape)
+    fp = np.broadcast_to(twist.f_prime(z), z.shape)
     v_g = da_costa_potential(surface_curvatures(geom, 0.0), phys)
     potential = (v_g + t * (f**2 + 1.0 / geom.radius**2) * l**2
                  + 1j * l * t * fp)
@@ -188,36 +185,3 @@ def ode_transmission_oracle(energy: float, scenario) -> tuple[float, float]:
             f"propagated solution not finite at energy {energy} "
             f"over length {length}")
     return float(trans), float(refl)
-
-
-def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10, max_depth: int = 40) -> float:
-    """Adaptive Simpson integral of f over [a, b] to absolute tolerance tol."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if a == b:
-        return 0.0
-    if a > b:
-        return -integrate_adaptive(f, b, a, tol, max_depth)
-
-    def simpson(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        if depth > max_depth:
-            raise QuadratureFailure(
-                f"recursion depth {max_depth} exceeded on [{lo}, {hi}]")
-        mid = 0.5 * (lo + hi)
-        flm = f(0.5 * (lo + mid))
-        frm = f(0.5 * (mid + hi))
-        left = simpson(flo, flm, fmid, mid - lo)
-        right = simpson(fmid, frm, fhi, hi - mid)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return (recurse(lo, mid, flo, flm, fmid, left, 0.5 * eps, depth + 1)
-                + recurse(mid, hi, fmid, frm, fhi, right, 0.5 * eps, depth + 1))
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(fa, fm, fb, b - a)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)

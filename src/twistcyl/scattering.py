@@ -10,14 +10,20 @@ Two scenarios share one interface-matching machinery:
 
 Inside the section Z(z) = A e^{r1 z} + B e^{r2 z} with
 
-    r_{1,2} = i l a -/+ sqrt((2m/hbar^2)(V_eff - E) - l^2 a^2),
+    r_{1,2} = i l a -/+ sqrt((2m/hbar^2)(V_eff - E) - l^2 a^2)
+            = i l a -/+ sqrt((2m/hbar^2)(V* - E)),
 
 principal square root (nonnegative real and imaginary parts), so r1 is the
-decaying or backward mode and r2 the growing or forward one. The four
-matching equations are assembled literally from wavefunction continuity plus
-the current-continuity derivative conditions; no twist terms are cancelled
-by hand, so the twist insensitivity of the transmission emerges from the
-solve rather than being built in.
+decaying or backward mode and r2 the growing or forward one. V_eff carries
+the centrifugal twist term (hbar^2/2m)(a l)^2 and V* = V_eff minus that term
+is the phase-transformed potential; the square root is formed from V*,
+because cancelling l^2 a^2 by subtraction would lose eps (a l)^2 absolutely.
+The four matching equations are assembled literally from continuity of Z
+and of the probability current, whose derivative conditions carry the twist
+term i l a Z. So the twist still enters through i l a in the roots and in
+those conditions; in exact arithmetic it drops out of |t| and |r| and leaves
+t the phase e^{i l a L}. The ODE oracle in ``numeric``, which integrates the
+untransformed equation, is the independent check of that.
 
 The solve uses the scaled basis
 
@@ -39,7 +45,7 @@ import numpy as np
 
 from .errors import NoPropagatingChannel, ThresholdDegeneracy
 from .geometry import CylinderGeometry, PhysicsParams
-from .spectrum import ModeNumbers, effective_potential, gauge_potential_star
+from .spectrum import ModeNumbers, gauge_potential_star
 
 EMBEDDED_CYLINDER = "embedded_cylinder"
 FREE_PARTICLE = "free_particle"
@@ -117,19 +123,18 @@ class SweepResult:
 
 
 def region_roots(energies, scenario: ScatteringScenario):
-    """Roots (r1, r2) of the region-II mode equation at each energy.
+    """Roots (r1, r2) = i l a -/+ sqrt((V* - E)/t) of the region-II mode
+    equation at each energy, with t = hbar^2/2m.
 
-    Assembled from the raw twist-carrying potential; the l^2 a^2 under the
-    square root cancels against the centrifugal g_zz term, which is exactly
-    why the magnitude dynamics is twist free. Raises ThresholdDegeneracy if
-    the two roots coalesce at any of the energies.
+    Under the square root the l^2 a^2 of the raw twisted equation cancels
+    against its centrifugal term, so the argument is formed from the
+    phase-transformed threshold V* directly; the twist stays in the common
+    i l a. Raises ThresholdDegeneracy if the two roots coalesce at any of
+    the energies.
     """
     energies = np.asarray(energies, dtype=float)
-    phys = scenario.phys
-    v_eff = effective_potential(scenario.mode, scenario.geom, scenario.alpha,
-                                phys)
     l_alpha = scenario.mode.l * scenario.alpha
-    arg = (v_eff - energies) / phys.hbar2_over_2m - l_alpha**2
+    arg = (scenario.inside_threshold - energies) / scenario.phys.hbar2_over_2m
     root = np.sqrt(arg.astype(complex))  # principal branch: Re, Im >= 0
     r1 = 1j * l_alpha - root
     r2 = 1j * l_alpha + root

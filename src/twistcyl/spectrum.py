@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
-from .numeric import integrate_adaptive
 
 DEFAULT_GRID = (256, 256)
 
@@ -76,18 +75,13 @@ def no_bound_states_below(mode: ModeNumbers, geom: CylinderGeometry,
     return gauge_potential_star(mode, geom, phys)
 
 
-def twist_phase(twist: TwistProfile, l: int, z: float,
-                tol: float = 1e-10) -> float:
-    """Accumulated geometric phase l * integral of f from 0 to z.
+def twist_phase(twist: TwistProfile, l: int, z):
+    """Geometric phase l theta(z) at a float or an array of heights.
 
-    Closed form l*alpha*z for a uniform twist; adaptive Simpson quadrature
-    for profiled twists.
+    Because f = theta', this is l times the integral of f from 0 to z for
+    every profile with theta(0) = 0, and it needs no quadrature.
     """
-    if l == 0:
-        return 0.0
-    if twist.is_constant:
-        return l * twist.rate * z
-    return l * integrate_adaptive(twist.f, 0.0, z, tol=tol)
+    return l * twist.theta(z)
 
 
 def _sinpi(x: np.ndarray) -> np.ndarray:
@@ -124,7 +118,7 @@ class WavefunctionSample:
 def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
                        twist: TwistProfile, phys: PhysicsParams,
                        grid: tuple[int, int] = DEFAULT_GRID) -> WavefunctionSample:
-    """Normalized bound state psi = (pi R L)^(-1/2) sin(n pi z / L) e^{i(l phi + phase(z))}.
+    """Normalized bound state psi = (pi R L)^(-1/2) sin(n pi z / L) e^{i l (phi + theta(z))}.
 
     phi covers [0, 2pi) without the duplicate endpoint; z includes both
     endpoints so the hard-wall zeros sit exactly on the grid. The twist
@@ -135,10 +129,7 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
         raise ValueError("grid must have at least 2 points per axis")
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     z = np.linspace(0.0, geom.length, n_z)
-    if twist.is_constant:
-        phase = mode.l * twist.rate * z
-    else:
-        phase = np.array([twist_phase(twist, mode.l, zi) for zi in z])
+    phase = twist_phase(twist, mode.l, z)
     amp = _sinpi(mode.n * z / geom.length) / np.sqrt(np.pi * geom.radius * geom.length)
     longitudinal = amp * np.exp(1j * phase)
     values = np.exp(1j * mode.l * phi)[:, None] * longitudinal[None, :]

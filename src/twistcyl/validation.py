@@ -16,12 +16,11 @@ from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                        metric_from_embedding_fd, metric_from_strain,
                        strain_from_linear_twist, surface_curvatures,
                        twisted_metric, undeformed_metric)
-from .numeric import (fd_bound_spectrum, integrate_adaptive,
-                      ode_transmission_oracle)
+from .numeric import fd_bound_spectrum, fd_eigenpairs, ode_transmission_oracle
 from .scattering import (FLAG_OK, ScatteringScenario, solve_scattering,
                          transmission_sweep)
 from .spectrum import (ModeNumbers, bound_wavefunction, eigenenergy,
-                       no_bound_states_below)
+                       no_bound_states_below, twist_phase)
 
 _PHYS = PhysicsParams()
 _GEOM = CylinderGeometry(radius=1.0, length=1.0)
@@ -205,11 +204,16 @@ def _check_cross_oracle():
     return worst <= 1e-8, f"max closed-form vs ODE deviation {worst:.2e}"
 
 
-def _check_quadrature():
-    worst = max(abs(integrate_adaptive(lambda x: x, 0.0, 1.0) - 0.5),
-                abs(integrate_adaptive(np.sin, 0.0, np.pi) - 2.0),
-                abs(integrate_adaptive(lambda x: 0.6 * x, 0.0, 2.0) - 1.2))
-    return worst <= 1e-10, f"max deviation from knowns {worst:.2e}"
+def _check_twist_phase():
+    # the eigenvector of the literal operator carries the phase l theta(z)
+    # on top of the real untwisted mode; theta = 0.4 sin 2z is no polynomial
+    twist = TwistProfile.profiled(lambda z: 0.4 * np.sin(2.0 * z),
+                                  lambda z: 0.8 * np.cos(2.0 * z),
+                                  lambda z: -1.6 * np.sin(2.0 * z))
+    _, vecs, z = fd_eigenpairs(1, _GEOM, twist, _PHYS, 1)
+    drift = np.unwrap(np.angle(vecs[:, 0]) - twist_phase(twist, 1, z))
+    spread = float(drift.max() - drift.min())
+    return spread <= 1e-10, f"max phase drift {spread:.2e} (tol 1e-10)"
 
 
 _CHECKS = (
@@ -227,7 +231,7 @@ _CHECKS = (
     ("free-twist-invariance", _check_free_alpha),
     ("free-resonances", _check_resonances),
     ("scattering-ode-oracle", _check_cross_oracle),
-    ("quadrature-knowns", _check_quadrature),
+    ("twist-phase-oracle", _check_twist_phase),
 )
 
 

@@ -72,8 +72,7 @@ def test_criterion_2_energies_twist_invariant():
     for l in (1, 2):
         for twist in (TwistProfile.constant(0.5), TwistProfile.linear_ramp(0.3)):
             _, vecs, z = fd_eigenpairs(l, GEOM, twist, PHYS, 1)
-            theta = np.array([twist_phase(twist, l, zi) for zi in z])
-            drift = np.unwrap(np.angle(vecs[:, 0]) - theta)
+            drift = np.unwrap(np.angle(vecs[:, 0]) - twist_phase(twist, l, z))
             phase_worst = max(phase_worst, float(drift.max() - drift.min()))
     ok = worst <= 1e-10 and phase_worst <= 1e-10
     _report("2 twist-invariant-energies", ok,

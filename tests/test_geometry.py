@@ -232,21 +232,26 @@ def test_embedding_fd_agrees_with_closed_form_sampled():
 
 
 def test_twist_profile_fd_derivative_fallback():
-    # no analytic derivative supplied: central differences kick in; the
-    # doubled difference in f_prime loses accuracy, hence its loose bound
-    twist = TwistProfile.profiled(lambda z: 0.3 * z)
-    assert twist.alpha_prime(1.0) == pytest.approx(0.3, abs=1e-9)
-    assert twist.f(2.0) == pytest.approx(1.2, abs=1e-8)
-    assert twist.f_prime(2.0) == pytest.approx(0.6, abs=1e-3)
-    exact = TwistProfile.profiled(lambda z: 0.3 * z,
-                                  alpha_prime_fn=lambda z: 0.3,
-                                  f_prime_fn=lambda z: 0.6)
-    assert exact.f(2.0) == pytest.approx(1.2, abs=1e-15)
+    # only theta supplied: f is its centred first difference and f' its
+    # centred second difference, vectorised over the heights
+    z = np.linspace(0.0, 5.0, 501)
+    twist = TwistProfile.profiled(lambda x: 0.3 * x + 0.2 * x * np.sin(x))
+    f = 0.3 + 0.2 * np.sin(z) + 0.2 * z * np.cos(z)
+    f_prime = 0.4 * np.cos(z) - 0.2 * z * np.sin(z)
+    assert np.max(np.abs(twist.f(z) - f)) <= 1e-9
+    assert np.max(np.abs(twist.f_prime(z) - f_prime)) <= 1e-7
+    assert twist.f(2.0) == pytest.approx(f[200], abs=1e-9)
+    exact = TwistProfile.profiled(lambda x: 0.3 * x * x,
+                                  f=lambda x: 0.6 * x,
+                                  f_prime=lambda x: 0.6)
+    assert exact.f(2.0) == 1.2
     assert exact.f_prime(2.0) == 0.6
+    assert not exact.is_constant
 
 
 def test_twist_profile_constant():
     twist = TwistProfile.constant(0.7)
-    assert twist.is_constant
+    assert twist.is_constant and twist.rate == 0.7
+    assert twist.theta(3.0) == 0.7 * 3.0
     assert twist.f(3.0) == 0.7
     assert twist.f_prime(3.0) == 0.0

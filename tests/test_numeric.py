@@ -7,46 +7,17 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from twistcyl.errors import (EigensolverFailure, IntegratorFailure,
-                             NoPropagatingChannel, QuadratureFailure)
+                             NoPropagatingChannel)
 from twistcyl.geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                                da_costa_potential, surface_curvatures)
 from twistcyl.numeric import (_mode_operator, fd_bound_spectrum,
-                              fd_eigenpairs, integrate_adaptive,
-                              ode_transmission_oracle)
+                              fd_eigenpairs, ode_transmission_oracle)
 from twistcyl.scattering import ScatteringScenario, solve_scattering
 from twistcyl.spectrum import (ModeNumbers, eigenenergy,
                                no_bound_states_below, twist_phase)
 
 PHYS = PhysicsParams()
 GEOM = CylinderGeometry(radius=1.0, length=1.0)
-
-
-# --- adaptive quadrature -----------------------------------------------------
-
-@pytest.mark.parametrize("f,a,b,expected", [
-    (lambda x: x, 0.0, 1.0, 0.5),
-    (np.sin, 0.0, np.pi, 2.0),
-    (lambda x: 0.6 * x, 0.0, 2.0, 1.2),
-])
-def test_quadrature_knowns(f, a, b, expected):
-    assert integrate_adaptive(f, a, b, tol=1e-10) == pytest.approx(
-        expected, abs=1e-10)
-
-
-def test_quadrature_oscillatory():
-    got = integrate_adaptive(lambda x: np.sin(40.0 * x), 0.0, 1.0, tol=1e-12)
-    assert got == pytest.approx((1.0 - np.cos(40.0)) / 40.0, abs=1e-10)
-
-
-def test_quadrature_reversed_interval():
-    assert integrate_adaptive(lambda x: x, 1.0, 0.0) == pytest.approx(
-        -0.5, abs=1e-12)
-
-
-def test_quadrature_depth_limit():
-    with pytest.raises(QuadratureFailure):
-        integrate_adaptive(lambda x: np.sin(1.0 / (x + 1e-12)), 0.0, 1.0,
-                           tol=1e-14, max_depth=6)
 
 
 # --- Chebyshev collocation eigen-oracle --------------------------------------
@@ -141,14 +112,23 @@ def test_fd_error_scales_as_h_squared():
     assert ratio >= 1e6
 
 
+def sine_twist(b):
+    """theta = b sin 2z with its derivatives in closed form."""
+    return TwistProfile.profiled(lambda z: b * np.sin(2.0 * z),
+                                 lambda z: 2.0 * b * np.cos(2.0 * z),
+                                 lambda z: -4.0 * b * np.sin(2.0 * z))
+
+
 @st.composite
 def collocation_cases(draw):
     """A geometry over R in [0.3, 3], L in [0.2, 5], |l| <= 3, with a constant
-    twist in [0, 2] or a ramp a0 z in [0, 0.3]: twist phases l theta(L) up
-    to 30 rad, which 48 points still resolve."""
+    twist in [0, 2], a ramp a0 z in [0, 0.3] or an angle theta = b sin 2z
+    with b in [0, 1]: twist phases l theta(L) up to 30 rad, which 48 points
+    still resolve."""
     geom = CylinderGeometry(draw(st.floats(0.3, 3.0)), draw(st.floats(0.2, 5.0)))
     twist = draw(st.one_of(st.floats(0.0, 2.0).map(TwistProfile.constant),
-                           st.floats(0.0, 0.3).map(TwistProfile.linear_ramp)))
+                           st.floats(0.0, 0.3).map(TwistProfile.linear_ramp),
+                           st.floats(0.0, 1.0).map(sine_twist)))
     return draw(st.integers(-3, 3)), geom, twist, draw(st.integers(1, 4))
 
 
@@ -165,10 +145,10 @@ def test_collocation_converges_from_n_to_2n(case):
 
 
 def test_fd_eigenvector_phase_tracks_twist_integral():
-    for twist in (TwistProfile.constant(0.5), TwistProfile.linear_ramp(0.3)):
+    for twist in (TwistProfile.constant(0.5), TwistProfile.linear_ramp(0.3),
+                  sine_twist(0.4)):
         _, vecs, z = fd_eigenpairs(1, GEOM, twist, PHYS, 1)
-        theta = np.array([twist_phase(twist, 1, zi) for zi in z])
-        drift = np.unwrap(np.angle(vecs[:, 0]) - theta)
+        drift = np.unwrap(np.angle(vecs[:, 0]) - twist_phase(twist, 1, z))
         assert drift.max() - drift.min() <= 1e-10
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from twistcyl.geometry import CylinderGeometry, PhysicsParams, TwistProfile
-from twistcyl.numeric import integrate_adaptive
 from twistcyl.spectrum import (ModeNumbers, bound_wavefunction,
                                effective_potential, eigenenergy,
                                gauge_potential_star, list_bound_states,
@@ -101,33 +100,31 @@ def test_twist_phase_constant():
 def test_twist_phase_linear_ramp():
     # f = 0.6 z, so the phase is l * 0.3 z^2
     got = twist_phase(TwistProfile.linear_ramp(0.3), 1, 2.0)
-    assert got == pytest.approx(1.2, abs=1e-10)
+    assert got == pytest.approx(1.2, abs=1e-15)
+
+
+@pytest.mark.parametrize("l", [1, -2, 3])
+def test_linear_ramp_phase_is_exact_on_wavefunction_grid(l):
+    # the phase is l theta(z) with theta = a0 z^2, bit for bit
+    a0 = 0.3
+    twist = TwistProfile.linear_ramp(a0)
+    mode = ModeNumbers(l=l, n=2)
+    sample = bound_wavefunction(mode, GEOM, twist, PHYS, (8, 129))
+    z = sample.z
+    phase = l * (a0 * z * z)
+    assert np.array_equal(twist_phase(twist, l, z), phase)
+    # at phi = 0 the untwisted state is its real amplitude, bit for bit
+    amp = bound_wavefunction(mode, GEOM, TwistProfile.constant(0.0), PHYS,
+                             (8, 129)).values[0].real
+    assert np.array_equal(sample.values[0], amp * np.exp(1j * phase))
 
 
 def test_twist_phase_profiled_matches_constant():
     const = TwistProfile.constant(0.8)
-    prof = TwistProfile.profiled(lambda z: 0.8, alpha_prime_fn=lambda z: 0.0,
-                                 f_prime_fn=lambda z: 0.0)
+    prof = TwistProfile.profiled(lambda z: 0.8 * z)
     for z in (0.3, 1.0, 2.7):
         assert abs(twist_phase(prof, 3, z) - twist_phase(const, 3, z)) <= 1e-12
-
-
-def test_twist_phase_propagates_quadrature_failure():
-    from twistcyl.errors import QuadratureFailure
-    rough = TwistProfile.profiled(lambda z: np.sin(1.0 / (z + 1e-12)),
-                                  alpha_prime_fn=lambda z: 0.0)
-    with pytest.raises(QuadratureFailure):
-        twist_phase(rough, 1, 1.0, tol=1e-14)
-
-
-def test_twist_phase_additive_in_z():
-    twist = TwistProfile.linear_ramp(0.4)
-    l = 2
-    for z1, z2 in ((0.5, 1.0), (1.3, 0.4)):
-        whole = twist_phase(twist, l, z1 + z2)
-        left = twist_phase(twist, l, z1)
-        right = l * integrate_adaptive(twist.f, z1, z1 + z2, tol=1e-12)
-        assert abs(whole - (left + right)) <= 1e-10
+    assert prof.f(2.7) == pytest.approx(0.8, abs=1e-10)
 
 
 def test_wavefunction_boundary_zeros_exact():
