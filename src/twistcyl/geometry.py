@@ -33,10 +33,9 @@ HBAR_SQ_OVER_2ME_EV_NM2 = 0.0380998
 
 _DET_RTOL = 1e-12
 
-# centred-difference steps of TwistProfile.profiled, relative to max(1, |z|):
-# near eps^(1/3) for the first difference and eps^(1/4) for the second
+# centred-difference step of TwistProfile.profiled, relative to max(1, |z|):
+# near eps^(1/3), which balances truncation against rounding
 _FD_STEP_F = 1e-5
-_FD_STEP_F_PRIME = 1e-4
 
 
 @dataclass(frozen=True)
@@ -86,49 +85,40 @@ class CylinderGeometry:
 
 @dataclass(frozen=True)
 class TwistProfile:
-    """Rotation angle theta(z) of the cross section with its first two
-    derivatives, the local twist rate f = theta' and f' = theta''.
+    """Rotation angle theta(z) of the cross section and the local twist rate
+    f = theta'.
 
     Each callable accepts a float or an array. Use the constructors:
     ``constant`` for theta = a z (``rate`` is then a), ``linear_ramp`` for
     theta = a0 z^2 (the rate alpha(z) = a0 z), or ``profiled`` for a
-    caller-supplied angle. ``profiled`` fills in a derivative it is not given
-    by a centred difference of theta, with a step of 1e-5 max(1, |z|) for f
-    and a second difference with 1e-4 max(1, |z|) for f'. For
-    theta = 0.3 z + 0.2 z sin z on [0, 5] they hold to 3e-10 and 3e-8; the
-    error grows with |z| and with the size of theta, so supply the
-    derivatives when you have them.
+    caller-supplied angle. ``profiled`` fills in f, when it is not given, by
+    a centred difference of theta with a step of 1e-5 max(1, |z|). For
+    theta = 0.3 z + 0.2 z sin z on [0, 5] it holds to 3e-10; the error grows
+    with |z| and with the size of theta, so supply f when you have it.
     """
 
     theta: Callable
     f: Callable
-    f_prime: Callable
     rate: float | None = None
 
     @classmethod
     def constant(cls, alpha: float) -> "TwistProfile":
         a = float(alpha)
-        return cls(theta=lambda z: a * z, f=lambda z: a,
-                   f_prime=lambda z: 0.0, rate=a)
+        return cls(theta=lambda z: a * z, f=lambda z: a, rate=a)
 
     @classmethod
     def linear_ramp(cls, alpha0: float) -> "TwistProfile":
         a0 = float(alpha0)
-        return cls(theta=lambda z: a0 * z * z, f=lambda z: 2.0 * a0 * z,
-                   f_prime=lambda z: 2.0 * a0)
+        return cls(theta=lambda z: a0 * z * z, f=lambda z: 2.0 * a0 * z)
 
     @classmethod
-    def profiled(cls, theta: Callable, f: Callable | None = None,
-                 f_prime: Callable | None = None) -> "TwistProfile":
+    def profiled(cls, theta: Callable,
+                 f: Callable | None = None) -> "TwistProfile":
         if f is None:
             def f(z):
                 h = _FD_STEP_F * np.maximum(1.0, np.abs(z))
                 return (theta(z + h) - theta(z - h)) / (2.0 * h)
-        if f_prime is None:
-            def f_prime(z):
-                h = _FD_STEP_F_PRIME * np.maximum(1.0, np.abs(z))
-                return (theta(z + h) - 2.0 * theta(z) + theta(z - h)) / (h * h)
-        return cls(theta=theta, f=f, f_prime=f_prime)
+        return cls(theta=theta, f=f)
 
     @property
     def is_constant(self) -> bool:

@@ -20,17 +20,18 @@ from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                        da_costa_potential, surface_curvatures)
 
 _RK4_LOG2_STEP = 10  # ODE oracle: h max(1, max|A_ij|) <= 2^-_RK4_LOG2_STEP
-_IMAG_RTOL = 1e-9  # eigen-oracle: largest imaginary part accepted, relative
+_IMAG_RTOL = 1e-11  # eigen-oracle: largest imaginary part accepted, relative
 
 
 def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
                    phys: PhysicsParams, points: int):
     """Chebyshev collocation matrix of the literal longitudinal mode operator.
 
-        -t Z'' + 2 i l t f(z) Z' + [V_g + t (f^2 + 1/R^2) l^2 + i l t f'(z)] Z
+        -t Z'' + i l t [(f Z)' + f Z'] + [V_g + t (f^2 + 1/R^2) l^2] Z
 
-    with t = hbar^2/(2m), on the Gauss-Lobatto points x_j = cos(j pi / N),
-    j = 0..N, mapped to z = L (1 - x)/2. D is the differentiation matrix of
+    with t = hbar^2/(2m) and f = theta'; the bracket is 2 f Z' + f' Z with
+    no derivative of f. On the Gauss-Lobatto points x_j = cos(j pi / N),
+    j = 0..N, mapped to z = L (1 - x)/2, D is the differentiation matrix of
     Trefethen's cheb.m (Spectral Methods in MATLAB, SIAM 2000), with its
     diagonal set by the negative-sum trick. Dropping the first and last rows
     and columns imposes Z(0) = Z(L) = 0. For a z-dependent twist the matrix
@@ -49,11 +50,10 @@ def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
     z = 0.5 * geom.length * (1.0 - x[1:-1])
     t = phys.hbar2_over_2m
     f = np.broadcast_to(twist.f(z), z.shape)
-    fp = np.broadcast_to(twist.f_prime(z), z.shape)
     v_g = da_costa_potential(surface_curvatures(geom, 0.0), phys)
-    potential = (v_g + t * (f**2 + 1.0 / geom.radius**2) * l**2
-                 + 1j * l * t * fp)
-    op = -t * d2 + (2j * l * t * f)[:, None] * d1 + np.diag(potential)
+    potential = v_g + t * (f**2 + 1.0 / geom.radius**2) * l**2
+    op = (-t * d2 + 1j * l * t * (d1 * f[None, :] + f[:, None] * d1)
+          + np.diag(potential))
     if not np.all(np.isfinite(op)):
         raise EigensolverFailure(
             f"mode operator not finite for l = {l}, {geom}")
@@ -64,7 +64,7 @@ def _lowest(values: np.ndarray, count: int, geom: CylinderGeometry,
             phys: PhysicsParams) -> np.ndarray:
     """Indices of the ``count`` eigenvalues of least real part, checked real.
 
-    The imaginary part may be at most 1e-9 of the eigenvalue's modulus, or
+    The imaginary part may be at most 1e-11 of the eigenvalue's modulus, or
     of the box scale t/L^2 when the eigenvalue is smaller.
     """
     if not np.all(np.isfinite(values)):
@@ -115,11 +115,13 @@ def fd_bound_spectrum(l: int, geom: CylinderGeometry, twist: TwistProfile,
 
     The name is historical: the values are the eigenvalues of least real
     part of the Chebyshev collocation of order ``points``
-    (``np.linalg.eigvals``), with no extrapolation. The default order
-    resolves the lowest modes to about 1e-13 while the twist phase
-    l theta(L) stays below about 30 rad; past that, raise ``points``. A
-    non-finite operator or spectrum, or an imaginary part above 1e-9
-    relative, raises EigensolverFailure.
+    (``np.linalg.eigvals``), with no extrapolation. A non-finite operator
+    or spectrum raises EigensolverFailure, and so do imaginary parts above
+    1e-11 relative, which a z-dependent twist that the nodes do not resolve
+    leaves: raise ``points`` (theta = sin 2z at l = 2, L = 5 is refused at
+    48 and right to 4e-14 at 96). A constant twist a keeps the spectrum
+    real at any order, so nothing flags it: the lowest four modes at l = 3,
+    R = 1 hold to 1e-13 up to l a L = 30 rad, 6e-11 at 45 and 7e-7 at 60.
     """
     _check_points(points, count)
     op, _ = _mode_operator(l, geom, twist, phys, points)

@@ -341,10 +341,20 @@ def test_validate_fails_nonzero(monkeypatch, capsys):
     def broken():
         return False, "forced failure"
 
-    monkeypatch.setattr(validation, "_CHECKS",
-                        (("forced-check", broken),) + validation._CHECKS[:1])
+    monkeypatch.setattr(validation, "CHECKS",
+                        (("forced-check", broken),) + validation.CHECKS[:1])
     assert main(["validate"]) == 3
     assert "FAIL  forced-check" in capsys.readouterr().out
+
+
+def test_validate_check_fails_on_nan(monkeypatch):
+    # a NaN deviation must fail its check, not vanish in a running maximum
+    from twistcyl import validation
+
+    monkeypatch.setattr(validation, "ode_transmission_oracle",
+                        lambda energy, scenario: (float("nan"), 0.0))
+    ok, detail = dict(validation.CHECKS)["scattering-ode-oracle"]()
+    assert not ok and "nan" in detail
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):

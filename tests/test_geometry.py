@@ -232,20 +232,15 @@ def test_embedding_fd_agrees_with_closed_form_sampled():
 
 
 def test_twist_profile_fd_derivative_fallback():
-    # only theta supplied: f is its centred first difference and f' its
-    # centred second difference, vectorised over the heights
+    # only theta supplied: f is its centred difference, vectorised over the
+    # heights
     z = np.linspace(0.0, 5.0, 501)
     twist = TwistProfile.profiled(lambda x: 0.3 * x + 0.2 * x * np.sin(x))
     f = 0.3 + 0.2 * np.sin(z) + 0.2 * z * np.cos(z)
-    f_prime = 0.4 * np.cos(z) - 0.2 * z * np.sin(z)
     assert np.max(np.abs(twist.f(z) - f)) <= 1e-9
-    assert np.max(np.abs(twist.f_prime(z) - f_prime)) <= 1e-7
     assert twist.f(2.0) == pytest.approx(f[200], abs=1e-9)
-    exact = TwistProfile.profiled(lambda x: 0.3 * x * x,
-                                  f=lambda x: 0.6 * x,
-                                  f_prime=lambda x: 0.6)
+    exact = TwistProfile.profiled(lambda x: 0.3 * x * x, f=lambda x: 0.6 * x)
     assert exact.f(2.0) == 1.2
-    assert exact.f_prime(2.0) == 0.6
     assert not exact.is_constant
 
 
@@ -254,4 +249,3 @@ def test_twist_profile_constant():
     assert twist.is_constant and twist.rate == 0.7
     assert twist.theta(3.0) == 0.7 * 3.0
     assert twist.f(3.0) == 0.7
-    assert twist.f_prime(3.0) == 0.0

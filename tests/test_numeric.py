@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -112,19 +112,29 @@ def test_fd_error_scales_as_h_squared():
     assert ratio >= 1e6
 
 
+def test_theta_only_profile_matches_closed_form():
+    # f is a centred difference of theta, and the operator never
+    # differentiates f, so a theta-only profile lands on the closed form
+    geom = CylinderGeometry(radius=1.0, length=5.0)
+    twist = TwistProfile.profiled(lambda z: 0.3 * z + 0.2 * z * np.sin(z))
+    vals = fd_bound_spectrum(1, geom, twist, PHYS, 2)
+    exact = np.array([eigenenergy(ModeNumbers(l=1, n=n), geom, PHYS)
+                      for n in (1, 2)])
+    assert np.max(np.abs(vals - exact) / np.abs(exact)) <= 1e-12
+
+
 def sine_twist(b):
-    """theta = b sin 2z with its derivatives in closed form."""
+    """theta = b sin 2z with its rate in closed form."""
     return TwistProfile.profiled(lambda z: b * np.sin(2.0 * z),
-                                 lambda z: 2.0 * b * np.cos(2.0 * z),
-                                 lambda z: -4.0 * b * np.sin(2.0 * z))
+                                 lambda z: 2.0 * b * np.cos(2.0 * z))
 
 
 @st.composite
 def collocation_cases(draw):
     """A geometry over R in [0.3, 3], L in [0.2, 5], |l| <= 3, with a constant
     twist in [0, 2], a ramp a0 z in [0, 0.3] or an angle theta = b sin 2z
-    with b in [0, 1]: twist phases l theta(L) up to 30 rad, which 48 points
-    still resolve."""
+    with b in [0, 1]: twist phases l theta(L) up to 30 rad. 48 points
+    resolve most of them and refuse the rest."""
     geom = CylinderGeometry(draw(st.floats(0.3, 3.0)), draw(st.floats(0.2, 5.0)))
     twist = draw(st.one_of(st.floats(0.0, 2.0).map(TwistProfile.constant),
                            st.floats(0.0, 0.3).map(TwistProfile.linear_ramp),
@@ -132,24 +142,60 @@ def collocation_cases(draw):
     return draw(st.integers(-3, 3)), geom, twist, draw(st.integers(1, 4))
 
 
+# the fixed grids this property took over: the untwisted spectrum over R, L
+# and l, then four twists over R and l. Last, two sine twists that 48 points
+# do not resolve: both are refused there, and a 1e-9 imaginary-part gate
+# lets the second through 2e-9 off
+PINNED = ([(l, CylinderGeometry(r, length), TwistProfile.constant(0.0), 3)
+           for r in (0.5, 1.0, 2.0) for length in (1.0, 5.0)
+           for l in (-2, -1, 0, 1, 2)]
+          + [(l, CylinderGeometry(r, 1.0), twist, 3)
+             for r in (0.5, 1.0, 2.0) for l in (0, 1, 2)
+             for twist in (TwistProfile.constant(0.5),
+                           TwistProfile.constant(1.0),
+                           TwistProfile.linear_ramp(0.3))]
+          + [(2, CylinderGeometry(1.0, 5.0), sine_twist(1.0), 2),
+             (3, CylinderGeometry(1.0, 4.0), sine_twist(1.0), 1)])
+
+
+def pinned(test):
+    for case in PINNED:
+        test = example(case)(test)
+    return test
+
+
+@pinned
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(collocation_cases())
 def test_collocation_converges_from_n_to_2n(case):
-    # a spurious eigenvalue would move between orders; the lowest ones may
-    # not. Relative to the box scale t/L^2 where an eigenvalue nears zero.
+    # right at 48 points, or refused there and right at 96: the closed form
+    # and the untwisted oracle to 1e-10 of max(|E|, t/L^2), where the box
+    # scale t/L^2 stands in for an eigenvalue near zero, and every value
+    # above the floor
     l, geom, twist, count = case
-    coarse = fd_bound_spectrum(l, geom, twist, PHYS, count)
-    fine = fd_bound_spectrum(l, geom, twist, PHYS, count, points=96)
-    scale = np.maximum(np.abs(fine), PHYS.hbar2_over_2m / geom.length**2)
-    assert np.max(np.abs(coarse - fine) / scale) <= 1e-10
+    try:
+        points = 48
+        vals = fd_bound_spectrum(l, geom, twist, PHYS, count, points)
+    except EigensolverFailure:
+        points = 96
+        vals = fd_bound_spectrum(l, geom, twist, PHYS, count, points)
+    untwisted = fd_bound_spectrum(l, geom, TwistProfile.constant(0.0), PHYS,
+                                  count, points)
+    exact = np.array([eigenenergy(ModeNumbers(l=l, n=n), geom, PHYS)
+                      for n in range(1, count + 1)])
+    scale = np.maximum(np.abs(exact), PHYS.hbar2_over_2m / geom.length**2)
+    assert np.max(np.abs(vals - exact) / scale) <= 1e-10
+    assert np.max(np.abs(vals - untwisted) / scale) <= 1e-10
+    assert np.min(vals) > no_bound_states_below(ModeNumbers(l=l), geom, PHYS)
 
 
 def test_fd_eigenvector_phase_tracks_twist_integral():
-    for twist in (TwistProfile.constant(0.5), TwistProfile.linear_ramp(0.3),
-                  sine_twist(0.4)):
-        _, vecs, z = fd_eigenpairs(1, GEOM, twist, PHYS, 1)
-        drift = np.unwrap(np.angle(vecs[:, 0]) - twist_phase(twist, 1, z))
-        assert drift.max() - drift.min() <= 1e-10
+    for l in (1, 2):
+        for twist in (TwistProfile.constant(0.5),
+                      TwistProfile.linear_ramp(0.3), sine_twist(0.4)):
+            _, vecs, z = fd_eigenpairs(l, GEOM, twist, PHYS, 1)
+            drift = np.unwrap(np.angle(vecs[:, 0]) - twist_phase(twist, l, z))
+            assert drift.max() - drift.min() <= 1e-10
 
 
 def test_fd_no_eigenvalue_below_star_potential():

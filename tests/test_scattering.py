@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from twistcyl.errors import NoPropagatingChannel, ThresholdDegeneracy
 from twistcyl.geometry import CylinderGeometry, PhysicsParams
@@ -132,6 +133,24 @@ def test_free_resonance_unit_transmission():
     for alpha in (0.0, 0.5, 1.3):
         sol = solve_scattering(energy, free(alpha=alpha, l=0))
         assert abs(sol.transmission - 1.0) <= 1e-8
+
+
+def test_free_resonances_sit_at_stacked_half_waves():
+    # T's flat top defeats a direct peak search at high n; the reflection
+    # amplitude vanishes linearly there, so bracketing the sign change of
+    # its slope pins each resonance V* + t (n pi / L)^2 to about 1e-8
+    scenario = free(alpha=0.5, l=1)
+    t = PHYS.hbar2_over_2m
+
+    def slope(e, d=1e-4):
+        return (abs(solve_scattering(e + d, scenario).r)
+                - abs(solve_scattering(e - d, scenario).r))
+
+    for n in range(1, 6):
+        predicted = (scenario.inside_threshold
+                     + t * (n * np.pi / GEOM.length)**2)
+        located = brentq(slope, predicted - 0.4, predicted + 0.4, xtol=1e-10)
+        assert abs(located - predicted) <= 1e-6
 
 
 def test_free_off_resonance_below_unity():
