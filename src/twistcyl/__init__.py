@@ -6,6 +6,23 @@ sections, all cross-checked by independent spectral-collocation and
 ODE-integration oracles.
 """
 
+import os
+import sys
+
+# The largest matrix twistcyl builds is a ~100-point collocation, too small
+# for a second OpenBLAS thread to pay back its start-up CPU; on 2 CPUs it
+# also stalls the first complex eig of order 47 by 15-20 ms. So load BLAS
+# with one thread, unless a host program already loaded numpy or the user
+# set a thread count; the variable is removed again so that child processes
+# see the user's own environment.
+if ("numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+        and "OMP_NUM_THREADS" not in os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401  (OpenBLAS reads the variable at load)
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (ConfigError, EigensolverFailure, IntegratorFailure,
                      NoPropagatingChannel, SingularMetric, ThresholdDegeneracy,
                      TwistCylError)

@@ -19,8 +19,8 @@ class NoPropagatingChannel(TwistCylError):
 
 
 class EigensolverFailure(TwistCylError):
-    """The eigen-oracle met a non-finite operator or spectrum, or a non-real
-    eigenvalue."""
+    """The eigen-oracle met a non-finite operator or spectrum, a non-real
+    eigenvalue, or a twist phase too large for its collocation points."""
 
 
 class IntegratorFailure(TwistCylError):

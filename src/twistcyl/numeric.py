@@ -21,6 +21,7 @@ from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
 
 _RK4_LOG2_STEP = 10  # ODE oracle: h max(1, max|A_ij|) <= 2^-_RK4_LOG2_STEP
 _IMAG_RTOL = 1e-11  # eigen-oracle: largest imaginary part accepted, relative
+_PHASE_PER_POINT = 0.75  # eigen-oracle: twist phase budget, rad per point
 
 
 def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
@@ -37,6 +38,9 @@ def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
     and columns imposes Z(0) = Z(L) = 0. For a z-dependent twist the matrix
     is not Hermitian, but its spectrum is still real because the first-
     derivative term can be removed by a phase change of the unknowns.
+    The eigenvectors carry that phase, l theta(z), which the nodes must
+    resolve: a phase |l| (max theta - min theta) across the interior nodes
+    above 0.75 N rad raises EigensolverFailure (see ``fd_bound_spectrum``).
     Returns the matrix and the N - 1 interior nodes.
     """
     j = np.arange(points + 1)
@@ -57,6 +61,12 @@ def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
     if not np.all(np.isfinite(op)):
         raise EigensolverFailure(
             f"mode operator not finite for l = {l}, {geom}")
+    theta = twist.theta(z)
+    phase = abs(l) * float(np.max(theta) - np.min(theta))
+    if phase > _PHASE_PER_POINT * points:
+        raise EigensolverFailure(
+            f"twist phase {phase:.3g} rad exceeds the budget of "
+            f"{_PHASE_PER_POINT * points:.3g} rad at {points} points")
     return op, z
 
 
@@ -120,8 +130,11 @@ def fd_bound_spectrum(l: int, geom: CylinderGeometry, twist: TwistProfile,
     1e-11 relative, which a z-dependent twist that the nodes do not resolve
     leaves: raise ``points`` (theta = sin 2z at l = 2, L = 5 is refused at
     48 and right to 4e-14 at 96). A constant twist a keeps the spectrum
-    real at any order, so nothing flags it: the lowest four modes at l = 3,
-    R = 1 hold to 1e-13 up to l a L = 30 rad, 6e-11 at 45 and 7e-7 at 60.
+    real at any order, so the gate cannot see it; instead a twist phase
+    |l| (max theta - min theta) above 0.75 rad per point raises too. At
+    48 points that budget is 36 rad, where the lowest four modes at l = 3,
+    R = 1, L = 5 hold to 4e-14; past it they drift to 3e-11 at 45 rad,
+    3e-7 at 60 and 18% at 90. At 96 points 72 rad holds to 2e-14.
     """
     _check_points(points, count)
     op, _ = _mode_operator(l, geom, twist, phys, points)

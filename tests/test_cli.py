@@ -107,6 +107,58 @@ def test_import_leaves_oracle_scipy_modules_unloaded():
     assert proc.stderr.strip() == "0 []"
 
 
+# prelude of the fresh interpreters below: this twistcyl on the path, and
+# threads(), the live thread count on Linux (None elsewhere)
+_FRESH_PRELUDE = """\
+import os, sys
+sys.path.insert(0, sys.argv[1])
+def threads():
+    if sys.platform.startswith("linux"):
+        return len(os.listdir("/proc/self/task"))
+"""
+
+
+def _fresh(code, **env):
+    """Stdout words of ``code`` run in a fresh interpreter whose environment
+    holds no BLAS thread setting but ``env``."""
+    src = os.path.dirname(os.path.dirname(twistcyl.__file__))
+    full = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    full.update(env)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PRELUDE + code, src],
+                          capture_output=True, text=True, env=full,
+                          check=True, timeout=120)
+    return proc.stdout.split()
+
+
+def test_import_loads_blas_with_one_thread():
+    out = _fresh("import twistcyl\n"
+                 "print('OPENBLAS_NUM_THREADS' in os.environ, threads())")
+    assert out[0] == "False"
+    if sys.platform.startswith("linux"):
+        assert out[1] == "1"
+
+
+def test_import_keeps_a_user_blas_setting():
+    out = _fresh("import twistcyl\n"
+                 "print(os.environ['OPENBLAS_NUM_THREADS'])",
+                 OPENBLAS_NUM_THREADS="2")
+    assert out == ["2"]
+
+
+def test_import_after_numpy_changes_nothing():
+    out = _fresh("import numpy\nbefore = threads()\nimport twistcyl\n"
+                 "print('OPENBLAS_NUM_THREADS' in os.environ, "
+                 "before == threads())")
+    assert out == ["False", "True"]
+
+
+def test_validate_leaves_numpy_random_unloaded():
+    out = _fresh("from twistcyl.validation import run_validation\n"
+                 "print(run_validation()[1], 'numpy.random' in sys.modules)")
+    assert out == ["True", "False"]
+
+
 ELECTRON_SCATTER = """\
 [physics]
 unit_system = electron_nm_eV
@@ -345,6 +397,26 @@ def test_validate_fails_nonzero(monkeypatch, capsys):
                         (("forced-check", broken),) + validation.CHECKS[:1])
     assert main(["validate"]) == 3
     assert "FAIL  forced-check" in capsys.readouterr().out
+
+
+def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
+    from twistcyl import validation
+    from twistcyl.errors import EigensolverFailure
+
+    def raising():
+        raise EigensolverFailure("forced")
+
+    monkeypatch.setattr(validation, "CHECKS", validation.CHECKS[:1]
+                        + (("raising-check", raising),)
+                        + validation.CHECKS[1:2])
+    assert main(["validate"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("PASS  metric-determinant")
+    assert lines[1].startswith("FAIL  raising-check")
+    assert lines[1].endswith("error: EigensolverFailure: forced")
+    assert lines[2].startswith("PASS  metric-inverse-identity")
+    assert lines[3] == "FAILED: 2 of 3 checks passed"
 
 
 def test_validate_check_fails_on_nan(monkeypatch):

@@ -224,6 +224,21 @@ def test_fd_nan_twist_is_eigensolver_failure():
         fd_eigenpairs(1, GEOM, twist, PHYS, 2)
 
 
+def test_fd_unresolved_constant_twist_is_refused():
+    # a constant twist keeps the spectrum real, so only the phase budget
+    # (0.75 rad per point) refuses l a L = 90 rad, 18% off at 48 points
+    geom = CylinderGeometry(1.0, 5.0)
+    twist = TwistProfile.constant(6.0)
+    with pytest.raises(EigensolverFailure, match="twist phase"):
+        fd_bound_spectrum(3, geom, twist, PHYS, 4)
+    with pytest.raises(EigensolverFailure, match="twist phase"):
+        fd_eigenpairs(-3, geom, twist, PHYS, 4)
+    vals = fd_bound_spectrum(3, geom, twist, PHYS, 4, points=128)
+    exact = [eigenenergy(ModeNumbers(l=3, n=n), geom, PHYS)
+             for n in range(1, 5)]
+    np.testing.assert_allclose(vals, exact, rtol=1e-10)
+
+
 # --- ODE transmission oracle -------------------------------------------------
 
 def _random_oracle_cases(seed, count, radius, length, alpha, energy):
