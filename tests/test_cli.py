@@ -95,16 +95,18 @@ def test_non_finite_number_is_config_error(tmp_path, old, new):
 
 def test_import_leaves_oracle_scipy_modules_unloaded():
     # a fresh interpreter runs validate on the same twistcyl this process
-    # imported; neither the import nor the oracles may load any scipy module
+    # imported; neither the import nor the oracles may load any scipy module,
+    # and the seeded checks draw without numpy.random
     src = os.path.dirname(os.path.dirname(twistcyl.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from twistcyl.cli import main; rc = main(['validate']); "
             "print(rc, sorted(m for m in sys.modules "
-            "if m.partition('.')[0] == 'scipy'), file=sys.stderr)")
+            "if m.partition('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code, src],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.rstrip().endswith("OK: 15 of 15 checks passed")
-    assert proc.stderr.strip() == "0 []"
+    assert proc.stderr.strip() == "0 [] False"
 
 
 # prelude of the fresh interpreters below: this twistcyl on the path, and
@@ -151,12 +153,6 @@ def test_import_after_numpy_changes_nothing():
                  "print('OPENBLAS_NUM_THREADS' in os.environ, "
                  "before == threads())")
     assert out == ["False", "True"]
-
-
-def test_validate_leaves_numpy_random_unloaded():
-    out = _fresh("from twistcyl.validation import run_validation\n"
-                 "print(run_validation()[1], 'numpy.random' in sys.modules)")
-    assert out == ["True", "False"]
 
 
 ELECTRON_SCATTER = """\
