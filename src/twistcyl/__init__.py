@@ -11,7 +11,7 @@ import sys
 
 # The largest matrix twistcyl builds is a ~100-point collocation, too small
 # for a second OpenBLAS thread to pay back its start-up CPU; on 2 CPUs it
-# also stalls the first complex eig of order 47 by 15-20 ms. So load BLAS
+# also stalls every complex eig of order 47 by about 12 ms. So load BLAS
 # with one thread, unless a host program already loaded numpy or the user
 # set a thread count; the variable is removed again so that child processes
 # see the user's own environment.
