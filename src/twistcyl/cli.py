@@ -2,10 +2,11 @@
 
 Run configurations are flat INI-style documents, UTF-8, with ``[section]``
 headers and ``key = value`` pairs; full-line comments start with ``#`` or
-``;``. Unknown sections or keys are rejected, and so are non-finite numbers.
-In the ``electron_nm_eV`` unit preset, numeric values accept a unit suffix
-(``radius = 2 nm``, ``alpha = 0.5 1/nm``, ``min = 10 meV``); in natural
-units suffixes are errors.
+``;``. ``_SCHEMA`` is the single list of keys, with each key's default, unit
+kind and lower bound. Unknown sections or keys are rejected, and so are
+non-finite numbers. In the ``electron_nm_eV`` unit preset, numeric values
+accept a unit suffix (``radius = 2 nm``, ``alpha = 0.5 1/nm``,
+``min = 10 meV``); in natural units suffixes are errors.
 
 Outputs are deterministic: identical config and command produce identical
 bytes. Data files carry no timestamps, only a schema tag and the SHA-256 of
@@ -33,22 +34,6 @@ from .scattering import ScatteringScenario, transmission_sweep
 from .spectrum import ModeNumbers, bound_wavefunction, list_bound_states
 from .validation import run_validation
 
-COMMANDS = ("spectrum", "wavefunction", "scatter-embedded", "scatter-free",
-            "sweep", "validate")
-
-_SCHEMA = {
-    "run": {"command"},
-    "physics": {"hbar", "mass", "unit_system"},
-    "geometry": {"radius", "length"},
-    "twist": {"profile", "alpha", "alpha0"},
-    "modes": {"n_max", "l_max"},
-    "scattering": {"l"},
-    "energy_grid": {"min", "max", "points"},
-    "sweep": {"scenario", "vary", "values"},
-    "wavefunction": {"n", "l", "n_phi", "n_z"},
-    "output": {"path", "format"},
-}
-
 # fixed unit-conversion tables for the electron_nm_eV preset
 _UNIT_TABLES = {
     "length": {"nm": 1.0, "angstrom": 0.1, "A": 0.1},
@@ -65,14 +50,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class WavefunctionSpec:
-    n: int
-    l: int
-    n_phi: int
-    n_z: int
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Fully validated run description; built by ``parse_config``."""
 
@@ -85,240 +62,11 @@ class RunConfig:
     scattering_l: int
     energy_grid: tuple[float, float, int] | None
     sweep: SweepSpec | None
-    wavefunction: WavefunctionSpec | None
+    wavefunction: tuple[int, int, int, int]  # n, l, n_phi, n_z
     output_path: str | None
     output_format: str
     config_sha256: str
     echo: dict
-
-
-def _tokenize(text: str) -> dict:
-    entries = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError("malformed section header", lineno)
-            section = line[1:-1].strip()
-            if section not in _SCHEMA:
-                raise ConfigError(f"unknown section [{section}]", lineno)
-            continue
-        if "=" not in line:
-            raise ConfigError("expected 'key = value'", lineno)
-        if section is None:
-            raise ConfigError("key outside any section", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
-        if not value:
-            raise ConfigError(f"empty value for {key!r}", lineno)
-        if (section, key) in entries:
-            raise ConfigError(f"duplicate key {key!r} in [{section}]", lineno)
-        entries[(section, key)] = (value, lineno)
-    return entries
-
-
-def _parse_float(raw: str, lineno: int, unit_system: str,
-                 kind: str | None = None) -> float:
-    parts = raw.split()
-    if len(parts) == 1:
-        num, unit = parts[0], None
-    elif len(parts) == 2:
-        num, unit = parts
-    else:
-        raise ConfigError(f"cannot parse value {raw!r}", lineno)
-    try:
-        value = float(num)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {num!r}", lineno) from None
-    if unit is not None:
-        if kind not in _UNIT_TABLES:
-            raise ConfigError(f"unit suffix {unit!r} not allowed here", lineno)
-        if unit_system != ELECTRON_NM_EV:
-            raise ConfigError(
-                f"unit suffix {unit!r} requires unit_system = electron_nm_eV",
-                lineno)
-        table = _UNIT_TABLES[kind]
-        if unit not in table:
-            raise ConfigError(
-                f"unknown {kind.replace('_', ' ')} unit {unit!r}", lineno)
-        value *= table[unit]
-    # checked after the unit factor, which can overflow a finite number
-    if not np.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {raw!r}", lineno)
-    return value
-
-
-def _parse_int(raw: str, lineno: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {raw!r}", lineno) from None
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a config document; raises ConfigError on any flaw."""
-    entries = _tokenize(text)
-    seen = set()
-
-    def get(section, key, default=None):
-        seen.add((section, key))
-        return entries.get((section, key), (default, None))
-
-    def require(section, key):
-        if (section, key) not in entries:
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
-        return get(section, key)
-
-    raw, lineno = get("physics", "unit_system", NATURAL)
-    if raw not in (NATURAL, ELECTRON_NM_EV):
-        raise ConfigError(f"unknown unit_system {raw!r}", lineno)
-    unit_system = raw
-    if unit_system == ELECTRON_NM_EV:
-        for key in ("hbar", "mass"):
-            if ("physics", key) in entries:
-                raise ConfigError(
-                    f"{key!r} is fixed by the electron_nm_eV preset",
-                    entries[("physics", key)][1])
-        physics = PhysicsParams.electron_nm_ev()
-    else:
-        raw, lineno = get("physics", "hbar", "1.0")
-        hbar = _parse_float(raw, lineno, unit_system)
-        raw, lineno = get("physics", "mass", "1.0")
-        mass = _parse_float(raw, lineno, unit_system)
-        try:
-            physics = PhysicsParams(hbar=hbar, mass=mass)
-        except ValueError as exc:
-            raise ConfigError(f"invalid [physics]: {exc}") from None
-    seen.update({("physics", "hbar"), ("physics", "mass")})
-
-    geometry = None
-    if ("geometry", "radius") in entries or ("geometry", "length") in entries:
-        raw, lineno = require("geometry", "radius")
-        radius = _parse_float(raw, lineno, unit_system, "length")
-        raw_l, lineno_l = require("geometry", "length")
-        length = _parse_float(raw_l, lineno_l, unit_system, "length")
-        try:
-            geometry = CylinderGeometry(radius=radius, length=length)
-        except ValueError as exc:
-            raise ConfigError(f"invalid [geometry]: {exc}", lineno) from None
-
-    raw, lineno = get("twist", "profile", "constant")
-    if raw == "constant":
-        raw_a, lineno_a = get("twist", "alpha", "0.0")
-        twist = TwistProfile.constant(
-            _parse_float(raw_a, lineno_a, unit_system, "inverse_length"))
-        if ("twist", "alpha0") in entries:
-            raise ConfigError("'alpha0' belongs to the linear-ramp profile",
-                              entries[("twist", "alpha0")][1])
-    elif raw == "linear-ramp":
-        raw_a, lineno_a = require("twist", "alpha0")
-        twist = TwistProfile.linear_ramp(
-            _parse_float(raw_a, lineno_a, unit_system, "inverse_length"))
-        if ("twist", "alpha") in entries:
-            raise ConfigError("'alpha' belongs to the constant profile",
-                              entries[("twist", "alpha")][1])
-    else:
-        raise ConfigError(f"unknown twist profile {raw!r}", lineno)
-    seen.update({("twist", "alpha"), ("twist", "alpha0")})
-
-    raw, lineno = get("modes", "n_max", "3")
-    n_max = _parse_int(raw, lineno)
-    raw, lineno = get("modes", "l_max", "2")
-    l_max = _parse_int(raw, lineno)
-    if n_max < 1:
-        raise ConfigError("n_max must be >= 1", lineno)
-    if l_max < 0:
-        raise ConfigError("l_max must be >= 0", lineno)
-
-    raw, lineno = get("scattering", "l", "0")
-    scattering_l = _parse_int(raw, lineno)
-
-    energy_grid = None
-    if any(("energy_grid", key) in entries for key in ("min", "max", "points")):
-        raw, lineno = require("energy_grid", "min")
-        e_min = _parse_float(raw, lineno, unit_system, "energy")
-        raw, lineno = require("energy_grid", "max")
-        e_max = _parse_float(raw, lineno, unit_system, "energy")
-        raw, lineno = require("energy_grid", "points")
-        points = _parse_int(raw, lineno)
-        if not e_min < e_max:
-            raise ConfigError("energy grid needs min < max", lineno)
-        if points < 2:
-            raise ConfigError("energy grid needs at least 2 points", lineno)
-        energy_grid = (e_min, e_max, points)
-
-    sweep = None
-    if any((("sweep", key) in entries) for key in _SCHEMA["sweep"]):
-        raw, lineno = require("sweep", "scenario")
-        if raw not in ("embedded", "free"):
-            raise ConfigError(f"unknown sweep scenario {raw!r}", lineno)
-        scenario = raw
-        raw, lineno = require("sweep", "vary")
-        if raw not in ("alpha", "l", "radius"):
-            raise ConfigError(f"cannot vary {raw!r} (alpha, l or radius)",
-                              lineno)
-        vary = raw
-        raw, lineno = require("sweep", "values")
-        tokens = [tok.strip() for tok in raw.split(",")]
-        if not all(tokens):
-            raise ConfigError("empty entry in sweep values", lineno)
-        if vary == "l":
-            values = tuple(_parse_int(tok, lineno) for tok in tokens)
-        else:
-            kind = "inverse_length" if vary == "alpha" else "length"
-            values = tuple(_parse_float(tok, lineno, unit_system, kind)
-                           for tok in tokens)
-            if vary == "radius" and any(v <= 0 for v in values):
-                raise ConfigError("radius values must be positive", lineno)
-        sweep = SweepSpec(scenario=scenario, vary=vary, values=values)
-
-    raw, lineno = get("wavefunction", "n", "1")
-    wf_n = _parse_int(raw, lineno)
-    raw, lineno = get("wavefunction", "l", "0")
-    wf_l = _parse_int(raw, lineno)
-    raw, lineno = get("wavefunction", "n_phi", "256")
-    n_phi = _parse_int(raw, lineno)
-    raw, lineno = get("wavefunction", "n_z", "256")
-    n_z = _parse_int(raw, lineno)
-    if wf_n < 1:
-        raise ConfigError("wavefunction n must be >= 1", lineno)
-    if n_phi < 2 or n_z < 2:
-        raise ConfigError("wavefunction grid needs at least 2 points per axis",
-                          lineno)
-    wavefunction = WavefunctionSpec(n=wf_n, l=wf_l, n_phi=n_phi, n_z=n_z)
-
-    command, lineno = get("run", "command", None)
-    if command is not None and command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}", lineno)
-
-    output_path, _ = get("output", "path", None)
-    raw, lineno = get("output", "format", "csv")
-    if raw not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {raw!r}", lineno)
-    output_format = raw
-
-    echo = {}
-    for (section, key), (value, _) in sorted(entries.items()):
-        echo.setdefault(section, {})[key] = value
-
-    return RunConfig(
-        command=command, physics=physics, geometry=geometry, twist=twist,
-        n_max=n_max, l_max=l_max, scattering_l=scattering_l,
-        energy_grid=energy_grid, sweep=sweep, wavefunction=wavefunction,
-        output_path=output_path, output_format=output_format,
-        config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        echo=echo)
-
-
-def default_config(command: str) -> RunConfig:
-    """Config with all defaults, for commands that need no document."""
-    return replace(parse_config(""), command=command)
 
 
 # printf conversion for a column's numpy dtype kind; '%.12g' % x prints
@@ -366,6 +114,18 @@ def _json_document(schema: str, config: RunConfig, header, columns) -> str:
     return text + "\n"
 
 
+def _write(config: RunConfig, text: str) -> None:
+    """Write ``text`` to the output path, or to stdout when there is none."""
+    if not config.output_path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 def _emit(config: RunConfig, schema: str, header, columns) -> None:
     """Write equal-length columns (float, int or str arrays) as one artifact."""
     columns = [np.asarray(column) for column in columns]
@@ -377,11 +137,7 @@ def _emit(config: RunConfig, schema: str, header, columns) -> None:
         text = "\n".join([f"# schema: {schema}",
                           f"# config-sha256: {config.config_sha256}",
                           ",".join(header), *map(template.__mod__, rows)]) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(config, text)
 
 
 def _require_geometry(config: RunConfig) -> CylinderGeometry:
@@ -397,10 +153,21 @@ def _require_grid(config: RunConfig) -> np.ndarray:
     return np.linspace(e_min, e_max, points)
 
 
-def _constant_alpha(config: RunConfig) -> float:
+def _scenario(config: RunConfig, kind: str, vary: str | None = None,
+              value=None) -> ScatteringScenario:
+    """The scenario of ``config`` that ``ScatteringScenario.<kind>`` makes
+    (kind embedded or free), with the parameter a sweep may ``vary`` (alpha,
+    l or radius) set to ``value``."""
+    geom = _require_geometry(config)
     if not config.twist.is_constant:
         raise ConfigError("scattering commands need a constant twist profile")
-    return config.twist.rate
+    setup = {"alpha": config.twist.rate, "l": config.scattering_l,
+             "radius": geom.radius}
+    if vary is not None:
+        setup[vary] = value
+    return getattr(ScatteringScenario, kind)(
+        CylinderGeometry(setup["radius"], geom.length), setup["alpha"],
+        setup["l"], config.physics)
 
 
 def _run_spectrum(config: RunConfig) -> None:
@@ -413,10 +180,9 @@ def _run_spectrum(config: RunConfig) -> None:
 
 def _run_wavefunction(config: RunConfig) -> None:
     geom = _require_geometry(config)
-    spec = config.wavefunction
-    sample = bound_wavefunction(ModeNumbers(l=spec.l, n=spec.n), geom,
-                                config.twist, config.physics,
-                                (spec.n_phi, spec.n_z))
+    n, l, n_phi, n_z = config.wavefunction
+    sample = bound_wavefunction(ModeNumbers(l=l, n=n), geom, config.twist,
+                                config.physics, (n_phi, n_z))
     # z-major rows: phi varies fastest, so the (phi, z) grids go transposed
     values = sample.values.T.ravel()
     _emit(config, "twistcyl-wavefunction-v1",
@@ -426,47 +192,27 @@ def _run_wavefunction(config: RunConfig) -> None:
            sample.density().T.ravel()))
 
 
-def _scenario_for(config: RunConfig, kind: str) -> ScatteringScenario:
-    geom = _require_geometry(config)
-    alpha = _constant_alpha(config)
-    maker = (ScatteringScenario.embedded if kind == "embedded"
-             else ScatteringScenario.free)
-    return maker(geom, alpha, config.scattering_l, config.physics)
-
-
-def _run_scatter(config: RunConfig, kind: str) -> None:
-    scenario = _scenario_for(config, kind)
-    energies = _require_grid(config)
-    sweep = transmission_sweep(scenario, energies)
+def _run_scatter(config: RunConfig) -> None:
+    scenario = _scenario(config, config.command.removeprefix("scatter-"))
+    sweep = transmission_sweep(scenario, _require_grid(config))
     _emit(config, "twistcyl-scatter-v1", ("energy", "T", "R", "flag"),
           (sweep.energy, sweep.transmission, sweep.reflection, sweep.flag))
 
 
 def _run_sweep(config: RunConfig) -> None:
-    if config.sweep is None:
-        raise ConfigError("[sweep] with scenario, vary, values is required")
     spec = config.sweep
-    geom = _require_geometry(config)
+    if spec is None:
+        raise ConfigError("[sweep] with scenario, vary, values is required")
+    scenarios = [_scenario(config, spec.scenario, spec.vary, value)
+                 for value in spec.values]
     energies = _require_grid(config)
-    maker = (ScatteringScenario.embedded if spec.scenario == "embedded"
-             else ScatteringScenario.free)
-    alpha = _constant_alpha(config)
-
-    def scenario_at(value):
-        if spec.vary == "alpha":
-            return maker(geom, value, config.scattering_l, config.physics)
-        if spec.vary == "l":
-            return maker(geom, alpha, int(value), config.physics)
-        return maker(CylinderGeometry(value, geom.length), alpha,
-                     config.scattering_l, config.physics)
-
     value_fmt = _CELL[np.asarray(spec.values).dtype.kind]
     header = ["energy"]
     columns = [energies]
-    for value in spec.values:
+    for value, scenario in zip(spec.values, scenarios):
         tag = f"[{spec.vary}={value_fmt % value}]"
         header += [f"T{tag}", f"R{tag}", f"flag{tag}"]
-        sweep = transmission_sweep(scenario_at(value), energies)
+        sweep = transmission_sweep(scenario, energies)
         columns += [sweep.transmission, sweep.reflection, sweep.flag]
     _emit(config, "twistcyl-sweep-v1", tuple(header), columns)
 
@@ -474,30 +220,252 @@ def _run_sweep(config: RunConfig) -> None:
 def _run_validate(config: RunConfig) -> int:
     lines, ok = run_validation()
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    if config.output_path:  # the table goes to stdout in any case
+        sys.stdout.write(text)
+    _write(config, text)
     return 0 if ok else 3
+
+
+# command name -> handler; a handler returns its exit code, or None for 0.
+# Handlers reach transmission_sweep, bound_wavefunction and run_validation
+# through this module's names, so a wrapper set on the module (as
+# bench/launch.py sets one) sees every call.
+_COMMANDS = {
+    "spectrum": _run_spectrum,
+    "wavefunction": _run_wavefunction,
+    "scatter-embedded": _run_scatter,
+    "scatter-free": _run_scatter,
+    "sweep": _run_sweep,
+    "validate": _run_validate,
+}
+
+# a sweep's vary word -> the config key it varies
+_SWEPT = {"alpha": ("twist", "alpha"), "l": ("scattering", "l"),
+          "radius": ("geometry", "radius")}
+
+# (section, key) -> (kind, default, floor, message), one row per config key.
+# kind is int, str, float (a bare number), a unit kind of _UNIT_TABLES, or
+# the tuple of words the key accepts; a key without a default stays None
+# unless given. A number must exceed floor. message, formatted with the raw
+# value, is the error for a number at or below floor or an unknown word.
+# The unit_system row goes first: it decides whether numbers take suffixes.
+_SCHEMA = {
+    ("physics", "unit_system"): ((NATURAL, ELECTRON_NM_EV), NATURAL, None,
+                                 "unknown unit_system {!r}"),
+    ("physics", "hbar"): (float, "1.0", 0,
+                          "invalid [physics]: hbar must be positive"),
+    ("physics", "mass"): (float, "1.0", 0,
+                          "invalid [physics]: mass must be positive"),
+    ("geometry", "radius"): ("length", None, 0,
+                             "invalid [geometry]: radius must be positive"),
+    ("geometry", "length"): ("length", None, 0,
+                             "invalid [geometry]: length must be positive"),
+    ("twist", "profile"): (("constant", "linear-ramp"), "constant", None,
+                           "unknown twist profile {!r}"),
+    ("twist", "alpha"): ("inverse_length", "0.0", None, None),
+    ("twist", "alpha0"): ("inverse_length", None, None, None),
+    ("modes", "n_max"): (int, "3", 0, "n_max must be >= 1"),
+    ("modes", "l_max"): (int, "2", -1, "l_max must be >= 0"),
+    ("scattering", "l"): (int, "0", None, None),
+    ("energy_grid", "min"): ("energy", None, None, None),
+    ("energy_grid", "max"): ("energy", None, None, None),
+    ("energy_grid", "points"): (int, None, 1,
+                                "energy grid needs at least 2 points"),
+    ("sweep", "scenario"): (("embedded", "free"), None, None,
+                            "unknown sweep scenario {!r}"),
+    ("sweep", "vary"): (tuple(_SWEPT), None, None,
+                        "cannot vary {!r} (alpha, l or radius)"),
+    ("sweep", "values"): (str, None, None, None),
+    ("wavefunction", "n"): (int, "1", 0, "wavefunction n must be >= 1"),
+    ("wavefunction", "l"): (int, "0", None, None),
+    ("wavefunction", "n_phi"): (
+        int, "256", 1, "wavefunction grid needs at least 2 points per axis"),
+    ("wavefunction", "n_z"): (
+        int, "256", 1, "wavefunction grid needs at least 2 points per axis"),
+    ("run", "command"): (tuple(_COMMANDS), None, None,
+                         "unknown command {!r}"),
+    ("output", "path"): (str, None, None, None),
+    ("output", "format"): (("csv", "json"), "csv", None,
+                           "unknown output format {!r}"),
+}
+_SECTIONS = {section for section, _ in _SCHEMA}
+
+
+def _tokenize(text: str) -> dict:
+    entries = {}
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith(";"):
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ConfigError("malformed section header", lineno)
+            section = line[1:-1].strip()
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown section [{section}]", lineno)
+            continue
+        if "=" not in line:
+            raise ConfigError("expected 'key = value'", lineno)
+        if section is None:
+            raise ConfigError("key outside any section", lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if (section, key) not in _SCHEMA:
+            raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
+        if not value:
+            raise ConfigError(f"empty value for {key!r}", lineno)
+        if (section, key) in entries:
+            raise ConfigError(f"duplicate key {key!r} in [{section}]", lineno)
+        entries[(section, key)] = (value, lineno)
+    return entries
+
+
+def _parse_value(raw: str, lineno: int | None, kind, unit_system: str | None):
+    """``raw`` read as the schema ``kind``; str and words are returned as
+    written, numbers converted by their unit suffix and checked finite."""
+    if kind is str or isinstance(kind, tuple):
+        return raw
+    if kind is int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"expected an integer, got {raw!r}",
+                              lineno) from None
+    parts = raw.split()
+    if len(parts) == 1:
+        num, unit = parts[0], None
+    elif len(parts) == 2:
+        num, unit = parts
+    else:
+        raise ConfigError(f"cannot parse value {raw!r}", lineno)
+    try:
+        value = float(num)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {num!r}", lineno) from None
+    if unit is not None:
+        if kind not in _UNIT_TABLES:
+            raise ConfigError(f"unit suffix {unit!r} not allowed here", lineno)
+        if unit_system != ELECTRON_NM_EV:
+            raise ConfigError(
+                f"unit suffix {unit!r} requires unit_system = electron_nm_eV",
+                lineno)
+        table = _UNIT_TABLES[kind]
+        if unit not in table:
+            raise ConfigError(
+                f"unknown {kind.replace('_', ' ')} unit {unit!r}", lineno)
+        value *= table[unit]
+    # checked after the unit factor, which can overflow a finite number
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}", lineno)
+    return value
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a config document; raises ConfigError on any flaw."""
+    entries = _tokenize(text)
+    # every schema row, given or defaulted; line is None unless given
+    value, line = {}, {}
+    for name, (kind, default, floor, message) in _SCHEMA.items():
+        raw, line[name] = entries.get(name, (default, None))
+        if raw is None:
+            value[name] = None
+            continue
+        parsed = value[name] = _parse_value(
+            raw, line[name], kind, value.get(("physics", "unit_system")))
+        if (parsed not in kind if isinstance(kind, tuple)
+                else floor is not None and not parsed > floor):
+            raise ConfigError(message.format(raw), line[name])
+
+    for section in ("geometry", "energy_grid", "sweep"):  # all keys or none
+        keys = [key for sec, key in _SCHEMA if sec == section]
+        absent = [key for key in keys if line[section, key] is None]
+        if absent and len(absent) < len(keys):
+            raise ConfigError(
+                f"missing required key {absent[0]!r} in [{section}]")
+
+    unit_system = value["physics", "unit_system"]
+    if unit_system == ELECTRON_NM_EV:
+        for key in ("hbar", "mass"):
+            if line["physics", key] is not None:
+                raise ConfigError(
+                    f"{key!r} is fixed by the electron_nm_eV preset",
+                    line["physics", key])
+        physics = PhysicsParams.electron_nm_ev()
+    else:
+        physics = PhysicsParams(hbar=value["physics", "hbar"],
+                                mass=value["physics", "mass"])
+
+    geometry = None
+    if line["geometry", "radius"] is not None:
+        geometry = CylinderGeometry(radius=value["geometry", "radius"],
+                                    length=value["geometry", "length"])
+
+    if value["twist", "profile"] == "constant":
+        if line["twist", "alpha0"] is not None:
+            raise ConfigError("'alpha0' belongs to the linear-ramp profile",
+                              line["twist", "alpha0"])
+        twist = TwistProfile.constant(value["twist", "alpha"])
+    else:
+        if line["twist", "alpha0"] is None:
+            raise ConfigError("missing required key 'alpha0' in [twist]")
+        if line["twist", "alpha"] is not None:
+            raise ConfigError("'alpha' belongs to the constant profile",
+                              line["twist", "alpha"])
+        twist = TwistProfile.linear_ramp(value["twist", "alpha0"])
+
+    energy_grid = None
+    if line["energy_grid", "min"] is not None:
+        e_min, e_max = value["energy_grid", "min"], value["energy_grid", "max"]
+        if not e_min < e_max:
+            raise ConfigError("energy grid needs min < max",
+                              line["energy_grid", "max"])
+        energy_grid = (e_min, e_max, value["energy_grid", "points"])
+
+    sweep = None
+    if line["sweep", "values"] is not None:
+        vary, lineno = value["sweep", "vary"], line["sweep", "values"]
+        tokens = [tok.strip() for tok in value["sweep", "values"].split(",")]
+        if not all(tokens):
+            raise ConfigError("empty entry in sweep values", lineno)
+        # each value reads as the key it varies; only radius has a floor, 0
+        kind, _, floor, _ = _SCHEMA[_SWEPT[vary]]
+        values = tuple(_parse_value(tok, lineno, kind, unit_system)
+                       for tok in tokens)
+        if floor is not None and not min(values) > floor:
+            raise ConfigError(f"{vary} values must be positive", lineno)
+        sweep = SweepSpec(scenario=value["sweep", "scenario"], vary=vary,
+                          values=values)
+
+    echo = {}
+    for (section, key), (raw, _) in sorted(entries.items()):
+        echo.setdefault(section, {})[key] = raw
+
+    return RunConfig(
+        command=value["run", "command"], physics=physics, geometry=geometry,
+        twist=twist, n_max=value["modes", "n_max"],
+        l_max=value["modes", "l_max"], scattering_l=value["scattering", "l"],
+        energy_grid=energy_grid, sweep=sweep,
+        wavefunction=tuple(value["wavefunction", key]
+                           for key in ("n", "l", "n_phi", "n_z")),
+        output_path=value["output", "path"],
+        output_format=value["output", "format"],
+        config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        echo=echo)
+
+
+def default_config(command: str) -> RunConfig:
+    """Config with all defaults, for commands that need no document."""
+    return replace(parse_config(""), command=command)
 
 
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; returns the process exit code."""
-    if config.command == "validate":
-        return _run_validate(config)
-    if config.command == "spectrum":
-        _run_spectrum(config)
-    elif config.command == "wavefunction":
-        _run_wavefunction(config)
-    elif config.command == "scatter-embedded":
-        _run_scatter(config, "embedded")
-    elif config.command == "scatter-free":
-        _run_scatter(config, "free")
-    elif config.command == "sweep":
-        _run_sweep(config)
-    else:
+    handler = _COMMANDS.get(config.command)
+    if handler is None:
         raise ConfigError(f"unknown command {config.command!r}")
-    return 0
+    return handler(config) or 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -510,13 +478,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Bound states and scattering on twisted "
                                  "cylindrical surfaces.")
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None,
                          help="path to the run configuration")
         cmd.add_argument("--out", default=None,
                          help="output path (default: stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), default=None)
+        cmd.add_argument("--format", choices=_SCHEMA["output", "format"][0],
+                         default=None)
     return parser
 
 
@@ -529,7 +498,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.config, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}") from None
             config = parse_config(text)
         elif args.command == "validate":

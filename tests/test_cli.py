@@ -43,6 +43,12 @@ def test_parse_minimal_applies_defaults():
     assert config.twist.is_constant and config.twist.rate == 0.0
     assert (config.n_max, config.l_max) == (3, 2)
     assert config.output_format == "csv"
+    assert config.physics.unit_system == "natural"
+    assert config.wavefunction == (1, 0, 256, 256)
+    assert config.scattering_l == 0
+    assert config.energy_grid is None and config.sweep is None
+    assert config.command is None
+    assert config.output_path is None
 
 
 def test_parse_rejects_negative_radius():
@@ -190,6 +196,32 @@ def test_unit_factor_overflow_is_config_error(tmp_path, capsys):
     config = parse_config(ELECTRON_SCATTER.replace("radius = 1 nm",
                                                    "radius = 1e308 nm"))
     assert config.geometry.radius == 1e308
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[modes]\nn_max = 0\nl_max = 2\n", "line 2: n_max must be >= 1"),
+    ("[modes]\nn_max = 0\n", "line 2: n_max must be >= 1"),
+    ("[modes]\nl_max = -1\n", "line 2: l_max must be >= 0"),
+    ("[wavefunction]\nn = 0\nn_z = 8\n",
+     "line 2: wavefunction n must be >= 1"),
+    ("[wavefunction]\nn_phi = 1\n",
+     "line 2: wavefunction grid needs at least 2 points per axis"),
+    ("[energy_grid]\nmin = 5\nmax = 1\npoints = 3\n",
+     "line 3: energy grid needs min < max"),
+    ("[energy_grid]\nmin = 0\nmax = 1\npoints = 1\n",
+     "line 4: energy grid needs at least 2 points"),
+    ("[geometry]\nradius = 1\nlength = -1\n",
+     "line 3: invalid [geometry]: length must be positive"),
+    ("[physics]\nhbar = -1\n",
+     "line 2: invalid [physics]: hbar must be positive"),
+    ("[physics]\nmass = 0\n",
+     "line 2: invalid [physics]: mass must be positive"),
+], ids=["n_max", "n_max-alone", "l_max", "wf-n", "n_phi", "min-max",
+        "points", "length", "hbar", "mass"])
+def test_bound_error_cites_its_own_line(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
 
 
 def test_parse_rejects_duplicate_key():
@@ -356,6 +388,51 @@ def test_scatter_requires_constant_twist(tmp_path):
     cfg = write(tmp_path, "run.ini", SCATTER.replace(
         "profile = constant\nalpha = 0.5", "profile = linear-ramp\nalpha0 = 0.3"))
     assert main(["scatter-free", "--config", cfg]) == 1
+
+
+def _single_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert len(err.splitlines()) == 1
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(MINIMAL.encode("utf-8") + b"# \xff\n")
+    assert main(["spectrum", "--config", str(cfg)]) == 1
+    _single_error_line(capsys, "error: config: cannot read config: ")
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "run.ini", MINIMAL)
+    out = str(tmp_path / "missing-dir" / "x.csv")
+    assert main(["spectrum", "--config", cfg, "--out", out]) == 1
+    _single_error_line(capsys, "error: config: cannot write output: ")
+    assert main(["validate", "--out", out]) == 1
+    _single_error_line(capsys, "error: config: cannot write output: ")
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def _readme_configs():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    return [block.partition("\n")[2].partition("\n```")[0] + "\n"
+            for block in text.split("```ini")[1:]]
+
+
+def test_readme_config_examples_run(tmp_path, capsys):
+    examples = _readme_configs()
+    assert examples
+    for text in examples:
+        parse_config(text)
+        cfg = write(tmp_path, "run.ini", text)
+        for command in ("spectrum", "scatter-free", "sweep"):
+            out = str(tmp_path / f"{command}.out")
+            assert main([command, "--config", cfg, "--out", out]) == 0
+            assert capsys.readouterr().err == ""
 
 
 def test_missing_config_is_config_error():
@@ -689,15 +766,23 @@ _FUZZ_VALUES = st.sampled_from([
 
 @st.composite
 def mutated_configs(draw):
-    """A valid config document with lines dropped, duplicated, garbled or
-    given new values and unit suffixes."""
+    """A valid config document with lines or whole sections dropped, lines
+    duplicated, garbled or given new values, unit suffixes and inline
+    comments."""
     lines = draw(st.sampled_from([FULL_NATURAL, FULL_ELECTRON])).splitlines()
     for _ in range(draw(st.integers(1, 6))):
         i = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(
-            ["drop", "duplicate", "garble", "value", "suffix"]))
+        op = draw(st.sampled_from(["drop", "duplicate", "garble", "value",
+                                   "suffix", "comment", "drop-section"]))
         if op == "drop" and len(lines) > 1:
             del lines[i]
+        elif op == "drop-section":
+            heads = [j for j, line in enumerate(lines) if line.startswith("[")]
+            if len(heads) > 1:
+                k = draw(st.integers(0, len(heads) - 1))
+                del lines[heads[k]:(heads + [len(lines)])[k + 1]]
+        elif op == "comment":
+            lines[i] += "  # comment"
         elif op == "duplicate":
             lines.insert(i, lines[i])
         elif op == "garble":
