@@ -157,11 +157,9 @@ def _scenario(config: RunConfig, kind: str, vary: str | None = None,
               value=None) -> ScatteringScenario:
     """The scenario of ``config`` that ``ScatteringScenario.<kind>`` makes
     (kind embedded or free), with the parameter a sweep may ``vary`` (alpha,
-    l or radius) set to ``value``."""
+    l or radius) set to ``value``; an alpha value is a constant twist."""
     geom = _require_geometry(config)
-    if not config.twist.is_constant:
-        raise ConfigError("scattering commands need a constant twist profile")
-    setup = {"alpha": config.twist.rate, "l": config.scattering_l,
+    setup = {"alpha": config.twist, "l": config.scattering_l,
              "radius": geom.radius}
     if vary is not None:
         setup[vary] = value
@@ -426,6 +424,9 @@ def parse_config(text: str) -> RunConfig:
     sweep = None
     if line["sweep", "values"] is not None:
         vary, lineno = value["sweep", "vary"], line["sweep", "values"]
+        if vary == "alpha" and value["twist", "profile"] != "constant":
+            raise ConfigError("vary = alpha needs the constant twist profile",
+                              line["sweep", "vary"])
         tokens = [tok.strip() for tok in value["sweep", "values"].split(",")]
         if not all(tokens):
             raise ConfigError("empty entry in sweep values", lineno)

@@ -109,7 +109,8 @@ class TwistProfile:
     @classmethod
     def linear_ramp(cls, alpha0: float) -> "TwistProfile":
         a0 = float(alpha0)
-        return cls(theta=lambda z: a0 * z * z, f=lambda z: 2.0 * a0 * z)
+        # a0 (2 z), not 2 a0 z: 2 a0 overflows for |a0| above about 9e307
+        return cls(theta=lambda z: a0 * z * z, f=lambda z: a0 * (2.0 * z))
 
     @classmethod
     def profiled(cls, theta: Callable,
@@ -119,10 +120,6 @@ class TwistProfile:
                 h = _FD_STEP_F * np.maximum(1.0, np.abs(z))
                 return (theta(z + h) - theta(z - h)) / (2.0 * h)
         return cls(theta=theta, f=f)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.rate is not None
 
 
 @dataclass(frozen=True)

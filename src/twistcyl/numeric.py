@@ -142,7 +142,14 @@ def fd_bound_spectrum(l: int, geom: CylinderGeometry, twist: TwistProfile,
     return np.sort(values[_lowest(values, count, geom, phys)].real)
 
 
-def ode_transmission_oracle(energy: float, scenario) -> tuple[float, float]:
+def _product(a, b):
+    """Product of two 2x2 matrices, each held as its four component arrays
+    (m00, m01, m10, m11)."""
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+
+def ode_transmission_oracle(energy, scenario):
     """Transmission and reflection by direct integration of the mode ODE.
 
     Starts from a pure outgoing wave at z = L, integrates the full complex
@@ -152,51 +159,68 @@ def ode_transmission_oracle(energy: float, scenario) -> tuple[float, float]:
     route shares nothing with the closed-form root/matching solution beyond
     the scenario definition.
 
+    It integrates the literal equation of a constant twist only: it reads
+    ``scenario.twist.rate`` and raises ValueError for any other profile.
+    ``energy`` is a float, which returns two floats, or an array, which
+    returns two arrays.
+
     The equation is y' = A y for y = (Z, Z') with a constant matrix A, so
     one classical RK4 step of size h is the matrix P = sum_{k<=4} (hA)^k/k!
     and 2^s steps are P^(2^s), formed by repeated squaring (Ko & Inkson,
     PRB 38, 9945 (1988), propagate the same equation by transfer matrices).
-    The step satisfies h max(1, max|A_ij|) <= 2^-10.
-    Raises IntegratorFailure when the propagated solution is not finite,
-    as when deep tunnelling through a long section overflows.
+    One s serves the whole energy array, so that h max(1, max|A_ij|) <= 2^-10
+    at every energy. Raises IntegratorFailure when the propagated solution
+    is not finite, as when deep tunnelling through a long section overflows.
     """
+    alpha = scenario.twist.rate
+    if alpha is None:
+        raise ValueError("the ODE oracle integrates a constant twist only")
+    energies = np.asarray(energy, dtype=float)
     thr = scenario.outside_threshold
-    if energy <= thr:
+    if np.any(energies <= thr):
         raise NoPropagatingChannel(
-            f"energy {energy} at or below the outside threshold {thr}")
+            f"energy {energies[energies <= thr].flat[0]} at or below the "
+            f"outside threshold {thr}")
     phys = scenario.phys
     geom = scenario.geom
     l = scenario.mode.l
-    alpha = scenario.alpha
     t = phys.hbar2_over_2m
 
-    k = np.sqrt((energy - thr) / t)
+    k = np.sqrt((energies - thr) / t)
     v_g = da_costa_potential(surface_curvatures(geom, 0.0), phys)
     v_eff = v_g + t * (alpha**2 + 1.0 / geom.radius**2) * l**2
     c1 = 2j * l * alpha
-    c0 = (v_eff - energy) / t
+    c0 = (v_eff - energies) / t
 
     length = geom.length
-    scale = max(1.0, abs(c0), abs(c1))
+    scale = max(1.0, float(np.max(np.abs(c0))), abs(c1))
     steps_log2 = max(0, math.ceil(math.log2(length * scale) + _RK4_LOG2_STEP))
-    ha = (-length / 2**steps_log2) * np.array([[0.0, 1.0], [c0, c1]])
-    eye = np.eye(2)
-    # P - 1 is carried instead of P, which would round away the low bits of
-    # hA: (1 + E)^2 = 1 + (2E + E^2)
-    e = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
-    y_end = np.array([np.exp(1j * k * length),
-                      (1j * k + 1j * l * alpha) * np.exp(1j * k * length)])
+    h = -length / 2**steps_log2
+    zero = np.zeros_like(c0)
+    ha = (zero, zero + h, h * c0, zero + h * c1)
+    # P - 1 = hA (1 + hA (1 + hA (1 + hA/4)/3)/2) is carried instead of P,
+    # which would round away the low bits of hA: (1 + E)^2 = 1 + (2E + E^2)
+    e = ha
+    for div in (4.0, 3.0, 2.0):
+        m = tuple(x / div for x in e)
+        e = _product(ha, (m[0] + 1.0, m[1], m[2], m[3] + 1.0))
+    out = np.exp(1j * k * length)
+    y_end = (out, (1j * k + 1j * l * alpha) * out)
     with np.errstate(all="ignore"):
         for _ in range(steps_log2):
-            e = 2.0 * e + e @ e
-        z0, zp0 = y_end + e @ y_end
+            e = tuple(2.0 * x + y for x, y in zip(e, _product(e, e)))
+        z0 = y_end[0] + e[0] * y_end[0] + e[1] * y_end[1]
+        zp0 = y_end[1] + e[2] * y_end[0] + e[3] * y_end[1]
         d = (zp0 - 1j * l * alpha * z0) / (1j * k)
         a_in = 0.5 * (z0 + d)    # incident amplitude when outgoing is normalized
         b_out = 0.5 * (z0 - d)   # reflected amplitude
-        trans = 1.0 / abs(a_in)**2
-        refl = abs(b_out / a_in)**2
-    if not (np.isfinite(z0) and np.isfinite(zp0) and np.isfinite(refl)):
+        trans = 1.0 / np.abs(a_in)**2
+        refl = np.abs(b_out / a_in)**2
+    bad = ~(np.isfinite(z0) & np.isfinite(zp0) & np.isfinite(refl))
+    if np.any(bad):
         raise IntegratorFailure(
-            f"propagated solution not finite at energy {energy} "
-            f"over length {length}")
-    return float(trans), float(refl)
+            f"propagated solution not finite at energy "
+            f"{energies[bad].flat[0]} over length {length}")
+    if energies.ndim == 0:
+        return float(trans), float(refl)
+    return trans, refl

@@ -17,6 +17,9 @@ from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
 
 DEFAULT_GRID = (256, 256)
 
+# from this twist phase on one ulp of it is a whole radian
+_PHASE_LIMIT = 2.0**52
+
 
 @dataclass(frozen=True)
 class ModeNumbers:
@@ -79,9 +82,19 @@ def twist_phase(twist: TwistProfile, l: int, z):
     """Geometric phase l theta(z) at a float or an array of heights.
 
     Because f = theta', this is l times the integral of f from 0 to z for
-    every profile with theta(0) = 0, and it needs no quadrature.
+    every profile with theta(0) = 0, and it needs no quadrature. It is 0 at
+    l = 0, even where theta overflows. Raises FloatingPointError where the
+    phase is not finite or reaches 2^52 rad, since e^{i l theta} then keeps
+    no digit.
     """
-    return l * twist.theta(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = l * twist.theta(z) if l else 0.0 * np.asarray(z, dtype=float)
+    bad = ~(np.abs(phase) < _PHASE_LIMIT)  # NaN is bad too
+    if np.any(bad):
+        raise FloatingPointError(
+            f"twist phase l theta(z) = {np.asarray(phase)[bad].flat[0]} rad "
+            f"for l = {l} is not finite or not below 2^52 rad")
+    return phase
 
 
 def _sinpi(x: np.ndarray) -> np.ndarray:
@@ -122,7 +135,8 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
 
     phi covers [0, 2pi) without the duplicate endpoint; z includes both
     endpoints so the hard-wall zeros sit exactly on the grid. The twist
-    contributes only the unimodular phase, so the density is twist free.
+    contributes only the unimodular phase, so the density is twist free; a
+    phase that ``twist_phase`` cannot resolve raises FloatingPointError.
     """
     n_phi, n_z = grid
     if n_phi < 2 or n_z < 2:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -40,7 +41,7 @@ def test_parse_minimal_applies_defaults():
     config = parse_config(MINIMAL)
     assert config.physics.hbar == 1.0 and config.physics.mass == 1.0
     assert config.geometry.radius == 1.0
-    assert config.twist.is_constant and config.twist.rate == 0.0
+    assert config.twist.rate == 0.0
     assert (config.n_max, config.l_max) == (3, 2)
     assert config.output_format == "csv"
     assert config.physics.unit_system == "natural"
@@ -384,16 +385,108 @@ n_z = 9
     assert rows[-1][2] == "0" and rows[-1][4] == "0"
 
 
-def test_scatter_requires_constant_twist(tmp_path):
-    cfg = write(tmp_path, "run.ini", SCATTER.replace(
-        "profile = constant\nalpha = 0.5", "profile = linear-ramp\nalpha0 = 0.3"))
-    assert main(["scatter-free", "--config", cfg]) == 1
+def _data_rows(tmp_path, capsys, command, text):
+    """The data rows of a run that must exit 0 with an empty stderr."""
+    cfg = write(tmp_path, "run.ini", text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    return out.read_text().splitlines()[2:]
+
+
+@pytest.mark.parametrize("command", ["scatter-free", "scatter-embedded",
+                                     "sweep"])
+@pytest.mark.parametrize("alpha0", ["0.3", "1e308"])
+def test_scatter_runs_every_twist_profile(tmp_path, capsys, command, alpha0):
+    # the twist is only a phase on t: a ramp, however steep, gives the rows
+    # of the untwisted section byte for byte
+    text = SCATTER + "\n[sweep]\nscenario = free\nvary = l\nvalues = 0, 1, 3\n"
+    untwisted = _data_rows(tmp_path, capsys, command, text.replace(
+        "alpha = 0.5", "alpha = 0"))
+    ramp = _data_rows(tmp_path, capsys, command, text.replace(
+        "profile = constant\nalpha = 0.5",
+        f"profile = linear-ramp\nalpha0 = {alpha0}"))
+    assert ramp == untwisted
+    assert len(ramp) == 21
+
+
+def test_sweep_over_alpha_needs_a_constant_profile():
+    text = SCATTER.replace("profile = constant\nalpha = 0.5",
+                           "profile = linear-ramp\nalpha0 = 0.3")
+    text += "\n[sweep]\nscenario = free\nvary = alpha\nvalues = 0, 1\n"
+    with pytest.raises(ConfigError, match="vary = alpha") as err:
+        parse_config(text)
+    assert err.value.line == text.splitlines().index("vary = alpha") + 1
+
+
+def _wavefunction_config(twist, l):
+    return MINIMAL.replace("length = 1.0", "length = 2") + f"""
+[twist]
+{twist}
+
+[wavefunction]
+n = 1
+l = {l}
+n_phi = 4
+n_z = 5
+"""
+
+
+@pytest.mark.parametrize("twist", ["profile = linear-ramp\nalpha0 = 1e308",
+                                   "alpha = 1e308"], ids=["ramp", "constant"])
+def test_wavefunction_unresolved_phase_is_numerics_exit(tmp_path, capsys,
+                                                        twist):
+    # l theta(z) is inf or about 1e308 rad: no digit of the phase survives
+    cfg = write(tmp_path, "run.ini", _wavefunction_config(twist, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["wavefunction", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _single_line(captured.err, "error: numerics: FloatingPointError: ")
+    # at l = 0 the twist leaves no phase, however large theta is
+    assert (_data_rows(tmp_path, capsys, "wavefunction",
+                       _wavefunction_config(twist, 0))
+            == _data_rows(tmp_path, capsys, "wavefunction",
+                          _wavefunction_config("alpha = 0", 0)))
+
+
+def test_sweep_flags_coalesced_roots_in_any_units(tmp_path, capsys):
+    # hbar^2/2m = 5e19: 1e-6 above V* = 0.375 the region-II roots have
+    # coalesced; the window scales with hbar^2/m, so the row is degenerate
+    rows = _data_rows(tmp_path, capsys, "sweep", """\
+[physics]
+hbar = 1e10
+mass = 1
+
+[geometry]
+radius = 1e10
+length = 1
+
+[scattering]
+l = 1
+
+[energy_grid]
+min = 0.375001
+max = 0.5
+points = 2
+
+[sweep]
+scenario = free
+vary = l
+values = 1
+""")
+    assert [row.split(",")[1:] for row in rows[1:]] == [
+        ["nan", "nan", "degenerate"]] * 2
+
+
+def _single_line(err, prefix):
+    assert err.startswith(prefix), err
+    assert len(err.splitlines()) == 1
 
 
 def _single_error_line(capsys, prefix):
-    err = capsys.readouterr().err
-    assert err.startswith(prefix), err
-    assert len(err.splitlines()) == 1
+    _single_line(capsys.readouterr().err, prefix)
 
 
 def test_non_utf8_config_is_config_error(tmp_path, capsys):
@@ -433,6 +526,17 @@ def test_readme_config_examples_run(tmp_path, capsys):
             out = str(tmp_path / f"{command}.out")
             assert main([command, "--config", cfg, "--out", out]) == 0
             assert capsys.readouterr().err == ""
+
+
+def test_readme_python_examples_run():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    blocks = list(re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S))
+    assert blocks
+    for block in blocks:
+        # padded so that a traceback cites the README's own line numbers
+        pad = "\n" * text.count("\n", 0, block.start(1))
+        exec(compile(pad + block.group(1), README, "exec"), {})
 
 
 def test_missing_config_is_config_error():

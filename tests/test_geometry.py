@@ -241,11 +241,19 @@ def test_twist_profile_fd_derivative_fallback():
     assert twist.f(2.0) == pytest.approx(f[200], abs=1e-9)
     exact = TwistProfile.profiled(lambda x: 0.3 * x * x, f=lambda x: 0.6 * x)
     assert exact.f(2.0) == 1.2
-    assert not exact.is_constant
+    assert exact.rate is None
 
 
 def test_twist_profile_constant():
     twist = TwistProfile.constant(0.7)
-    assert twist.is_constant and twist.rate == 0.7
+    assert twist.rate == 0.7
     assert twist.theta(3.0) == 0.7 * 3.0
     assert twist.f(3.0) == 0.7
+
+
+def test_linear_ramp_rate_does_not_overflow():
+    # f = a0 (2 z): 2 a0 alone would overflow to inf for a0 = 1e308
+    twist = TwistProfile.linear_ramp(1e308)
+    assert twist.f(0.0) == 0.0
+    assert twist.f(0.3) == 1e308 * 0.6
+    assert np.isfinite(twist.f(0.3))

@@ -317,7 +317,7 @@ def reference_ode_oracle(energy: float, scenario, rtol: float = 1e-10,
     phys = scenario.phys
     geom = scenario.geom
     l = scenario.mode.l
-    alpha = scenario.alpha
+    alpha = scenario.twist.rate
     t = phys.hbar2_over_2m
 
     k = np.sqrt((energy - thr) / t)
@@ -361,6 +361,27 @@ def test_ode_oracle_matches_adaptive_reference():
         t_ref, r_ref = reference_ode_oracle(energy, scenario)
         assert abs(t_new - t_ref) <= 1e-9
         assert abs(r_new - r_ref) <= 1e-9
+
+
+def test_ode_oracle_takes_an_energy_array():
+    # one squaring pass over the grid; each energy as a float agrees
+    for maker in (ScatteringScenario.embedded, ScatteringScenario.free):
+        scenario = maker(CylinderGeometry(0.8, 1.7), 0.7, 2, PHYS)
+        energies = scenario.outside_threshold + np.linspace(0.05, 9.0, 25)
+        trans, refl = ode_transmission_oracle(energies, scenario)
+        assert trans.shape == refl.shape == energies.shape
+        for energy, t_arr, r_arr in zip(energies.tolist(), trans, refl):
+            t_one, r_one = ode_transmission_oracle(energy, scenario)
+            assert type(t_one) is float and type(r_one) is float
+            assert abs(t_arr - t_one) <= 1e-11
+            assert abs(r_arr - r_one) <= 1e-11
+
+
+def test_ode_oracle_refuses_a_profiled_twist():
+    scenario = ScatteringScenario.free(GEOM, TwistProfile.linear_ramp(0.3), 1,
+                                       PHYS)
+    with pytest.raises(ValueError, match="constant twist"):
+        ode_transmission_oracle(2.0, scenario)
 
 
 @st.composite

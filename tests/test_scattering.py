@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from twistcyl.errors import NoPropagatingChannel, ThresholdDegeneracy
-from twistcyl.geometry import CylinderGeometry, PhysicsParams
+from twistcyl.geometry import CylinderGeometry, PhysicsParams, TwistProfile
 from twistcyl.numeric import ode_transmission_oracle
 from twistcyl.scattering import (FLAG_DEGENERATE, FLAG_OK, FLAG_SUB_THRESHOLD,
                                  ScatteringScenario, _solve_batch,
@@ -16,6 +17,8 @@ from twistcyl.scattering import (FLAG_DEGENERATE, FLAG_OK, FLAG_SUB_THRESHOLD,
 
 PHYS = PhysicsParams()
 GEOM = CylinderGeometry(radius=1.0, length=1.0)
+SINE = TwistProfile.profiled(lambda z: 0.4 * np.sin(2.0 * z),
+                             lambda z: 0.8 * np.cos(2.0 * z))
 
 
 def embedded(alpha=0.0, l=0, geom=GEOM):
@@ -39,27 +42,24 @@ def test_region_roots_at_zero_energy():
 
 
 def test_region_roots_sum_rule():
+    # the roots are those of the untwisted equation: r1 + r2 = 0 exactly
     rng = np.random.default_rng(21)
     for _ in range(50):
         scenario = embedded(alpha=rng.uniform(0, 2), l=int(rng.integers(-2, 3)))
         energy = rng.uniform(0.5, 6.0) + scenario.inside_threshold
         r1, r2 = region_roots(energy, scenario)
-        target = 2j * scenario.mode.l * scenario.alpha
-        assert abs(r1 + r2 - target) <= 1e-12 * max(1.0, abs(target))
+        assert r1 + r2 == 0
 
 
 def test_region_roots_alpha_cancellation():
-    # the sqrt argument reduces to (2m/hbar^2)(V* - E) for every alpha
-    scenario0 = embedded(alpha=0.0, l=2)
-    for alpha in (0.3, 0.9, 1.7):
-        scenario = embedded(alpha=alpha, l=2)
-        energies = np.array([0.1, 3.0, 9.0])
-        got = region_roots(energies, scenario)
-        ref = region_roots(energies, scenario0)
-        shift = 1j * scenario.mode.l * alpha
+    # no twist of any profile reaches the roots: they equal the untwisted
+    # ones bit for bit
+    energies = np.array([0.1, 3.0, 9.0])
+    ref = region_roots(energies, embedded(alpha=0.0, l=2))
+    for twist in (0.3, 0.9, 1.7, TwistProfile.linear_ramp(0.4), SINE):
+        got = region_roots(energies, embedded(alpha=twist, l=2))
         for g, r in zip(got, ref):
-            assert np.all(np.abs((g - shift) - r)
-                          <= 1e-13 * np.maximum(1.0, np.abs(r)))
+            assert np.array_equal(g, r)
 
 
 def test_region_roots_degenerate_at_threshold():
@@ -72,8 +72,26 @@ def test_region_roots_evanescent_below_threshold():
     scenario = free(alpha=0.4, l=1)
     r1, r2 = region_roots(0.1, scenario)  # below V* = 0.375
     kappa = np.sqrt(2.0 * (0.375 - 0.1))
-    assert r1 == pytest.approx(0.4j - kappa, abs=1e-12)
-    assert r2 == pytest.approx(0.4j + kappa, abs=1e-12)
+    assert r1 == pytest.approx(-kappa, abs=1e-12)
+    assert r2 == pytest.approx(kappa, abs=1e-12)
+    assert r1 + r2 == 0
+
+
+def test_threshold_window_scales_with_hbar_squared_over_m():
+    # hbar = 1e10, R = 1e10: V* = 0.375 and hbar^2/2m = 5e19, so 1e-6 above
+    # V* the roots have coalesced to |r| ~ 1.4e-13; region_roots refuses the
+    # point and the sweep flags it degenerate instead of aborting
+    phys = PhysicsParams(hbar=1e10, mass=1.0)
+    scenario = ScatteringScenario.free(CylinderGeometry(1e10, 1.0), 0.0, 1,
+                                       phys)
+    energy = scenario.inside_threshold + 1e-6
+    with pytest.raises(ThresholdDegeneracy):
+        region_roots(energy, scenario)
+    with pytest.raises(ThresholdDegeneracy):
+        solve_scattering(energy, scenario)
+    sweep = transmission_sweep(scenario, np.array([energy, 2.0 * energy]))
+    assert sweep.flag.tolist() == [FLAG_DEGENERATE, FLAG_DEGENERATE]
+    assert np.all(np.isnan(sweep.transmission))
 
 
 def test_outside_wavevector_embedded():
@@ -126,6 +144,22 @@ def test_embedded_transmitted_phase_records_twist():
     scenario = embedded(alpha=0.6, l=2)
     sol = solve_scattering(2.0, scenario)
     assert sol.t == pytest.approx(np.exp(1.2j), abs=1e-10)
+
+
+@pytest.mark.parametrize("twist", [
+    TwistProfile.linear_ramp(0.6), SINE,
+    TwistProfile.profiled(lambda z: 0.3 + 0.5 * z, lambda z: 0.5)],
+    ids=["ramp", "sine", "offset"])
+def test_transmitted_phase_is_the_only_trace_of_the_twist(twist):
+    geom = CylinderGeometry(1.0, 1.3)
+    for kind in (embedded, free):
+        base = solve_scattering(2.0, kind(l=2, geom=geom))
+        sol = solve_scattering(2.0, kind(alpha=twist, l=2, geom=geom))
+        phase = 2.0 * (twist.theta(geom.length) - twist.theta(0.0))
+        assert (sol.r, sol.A, sol.B) == (base.r, base.A, base.B)
+        assert (sol.transmission, sol.reflection) == (base.transmission,
+                                                      base.reflection)
+        assert sol.t == pytest.approx(base.t * np.exp(1j * phase), abs=1e-14)
 
 
 def test_free_resonance_unit_transmission():
@@ -193,24 +227,35 @@ def test_transmission_symmetric_in_l_sign():
 
 
 def test_current_matched_at_interfaces():
-    scenario = free(alpha=0.9, l=1, geom=CylinderGeometry(1.0, 1.3))
+    for twist in (0.9, TwistProfile.linear_ramp(0.7)):
+        current_matched_at_interfaces(twist)
+
+
+def current_matched_at_interfaces(twist):
+    # the literal Z_II = e^{i l theta(z)} U with U = A e^{r1 z} + B e^{r2 z}
+    # (theta(0) = 0), its current taken with the local rate f on each side
+    scenario = free(alpha=twist, l=1, geom=CylinderGeometry(1.0, 1.3))
     energy = 2.4
     sol = solve_scattering(energy, scenario)
     k = outside_wavevector(energy, scenario)
     r1, r2 = region_roots(energy, scenario)
     length = scenario.geom.length
-    l, alpha = scenario.mode.l, scenario.alpha
+    l, twist = scenario.mode.l, scenario.twist
+
+    def z_ii(z):
+        phase = np.exp(1j * l * twist.theta(z))
+        u = sol.A * np.exp(r1 * z) + sol.B * np.exp(r2 * z)
+        du = r1 * sol.A * np.exp(r1 * z) + r2 * sol.B * np.exp(r2 * z)
+        return phase * u, phase * (du + 1j * l * twist.f(z) * u)
 
     j_i = probability_current(1.0 + sol.r, 1j * k * (1.0 - sol.r), l, 0.0, PHYS)
-    j_ii_0 = probability_current(
-        sol.A + sol.B, r1 * sol.A + r2 * sol.B, l, alpha, PHYS)
-    z2 = sol.A * np.exp(r1 * length) + sol.B * np.exp(r2 * length)
-    z2p = (r1 * sol.A * np.exp(r1 * length)
-           + r2 * sol.B * np.exp(r2 * length))
-    j_ii_l = probability_current(z2, z2p, l, alpha, PHYS)
+    j_ii_0 = probability_current(*z_ii(0.0), l, twist.f(0.0), PHYS)
+    j_ii_l = probability_current(*z_ii(length), l, twist.f(length), PHYS)
     out = sol.t * np.exp(1j * k * length)
     j_iii = probability_current(out, 1j * k * out, l, 0.0, PHYS)
 
+    assert abs(z_ii(0.0)[0] - (1.0 + sol.r)) <= 1e-12
+    assert abs(z_ii(length)[0] - out) <= 1e-12
     assert abs(j_i - j_ii_0) <= 1e-10
     assert abs(j_ii_l - j_iii) <= 1e-10
     assert abs(j_i - j_iii) <= 1e-10
@@ -314,13 +359,16 @@ def test_free_transmission_oscillates_above_threshold():
 
 @st.composite
 def sweep_cases(draw):
-    """A scenario over R in [0.2, 5], L in [0.1, 200], |l| <= 3, alpha in
-    [0, 2], and a strictly increasing grid around its inside threshold."""
+    """A scenario over R in [0.2, 5], L in [0.1, 200], |l| <= 3, a constant
+    twist alpha in [0, 2] or a ramp alpha0 in [0, 2], and a strictly
+    increasing grid around its inside threshold."""
     kind = draw(st.sampled_from((embedded, free)))
     geom = CylinderGeometry(draw(st.floats(0.2, 5.0)),
                             draw(st.floats(0.1, 200.0)))
     l = draw(st.integers(-3, 3))
     alpha = draw(st.floats(0.0, 2.0))
+    if draw(st.booleans()):
+        alpha = TwistProfile.linear_ramp(alpha)
     offsets = draw(st.lists(st.floats(-3.0, 20.0), min_size=1, max_size=30))
     scenario = kind(alpha=alpha, l=l, geom=geom)
     energies = np.unique(scenario.inside_threshold + np.array(offsets))
@@ -339,10 +387,14 @@ def test_sweep_columns_properties(case):
     trans, refl = sweep.transmission[ok], sweep.reflection[ok]
     assert np.all(np.abs(trans + refl - 1.0) <= 1e-10)
 
+    # the twist is a phase on t alone: T and R equal the untwisted sweep's
     untwisted = transmission_sweep(
         kind(alpha=0.0, l=scenario.mode.l, geom=scenario.geom), energies)
     assert np.array_equal(untwisted.flag, sweep.flag)
-    assert np.all(np.abs(untwisted.transmission[ok] - trans) <= 1e-10)
+    assert np.array_equal(untwisted.transmission, sweep.transmission,
+                          equal_nan=True)
+    assert np.array_equal(untwisted.reflection, sweep.reflection,
+                          equal_nan=True)
 
     # sampled batched rows agree with the one-energy path
     ok_rows = np.flatnonzero(ok)
@@ -353,20 +405,32 @@ def test_sweep_columns_properties(case):
 
 
 def test_non_finite_system_is_threshold_degeneracy():
-    scenario = free(alpha=float("nan"), l=1)
+    scenario = free(l=1, geom=CylinderGeometry(float("nan"), 1.0))
     with pytest.raises(ThresholdDegeneracy):
         solve_scattering(1.0, scenario)
     sweep = transmission_sweep(scenario, np.array([1.0, 2.0]))
     assert np.all(sweep.flag == FLAG_DEGENERATE)
     assert np.all(np.isnan(sweep.transmission) & np.isnan(sweep.reflection))
+    # a NaN twist leaves the matching system finite; only the phase of t is
+    # lost, so solve_scattering refuses and the sweep is the untwisted one
+    energies = np.array([1.0, 2.0])
+    with pytest.raises(FloatingPointError):
+        solve_scattering(1.0, free(alpha=float("nan"), l=1))
+    twisted = transmission_sweep(free(alpha=float("nan"), l=1), energies)
+    untwisted = transmission_sweep(free(l=1), energies)
+    for name in ("transmission", "reflection", "flag"):
+        assert np.array_equal(getattr(twisted, name), getattr(untwisted, name))
 
 
 # The batched (N, 4, 4) LAPACK solve that the closed elimination replaced,
-# kept verbatim as the reference for _solve_batch.
+# kept as the reference for _solve_batch. It keeps the literal constant
+# twist: the roots i l a -/+ root and the derivative conditions carry i l a.
 def reference_solve_batch(energies: np.ndarray, scenario: ScatteringScenario):
     k = outside_wavevector(energies, scenario)
-    r1, r2 = region_roots(energies, scenario)
-    l_alpha = scenario.mode.l * scenario.alpha
+    l_alpha = scenario.mode.l * scenario.twist.rate
+    root = np.sqrt(((scenario.inside_threshold - energies)
+                    / scenario.phys.hbar2_over_2m).astype(complex))
+    r1, r2 = 1j * l_alpha - root, 1j * l_alpha + root
     length = scenario.geom.length
     ik = 1j * k
     e1 = np.exp(r1 * length)    # decaying mode across the section
@@ -418,7 +482,11 @@ def test_elimination_matches_lapack_reference(case):
     scenario, energies = case
     if energies.size == 0:
         return
-    for got, ref in zip(_solve_batch(energies, scenario),
+    r_amp, a_amp, b_amp, t_amp = _solve_batch(energies, scenario)
+    # the untwisted t takes the phase e^{i l a L}
+    t_amp = t_amp * np.exp(1j * scenario.mode.l * scenario.twist.rate
+                           * scenario.geom.length)
+    for got, ref in zip((r_amp, a_amp, b_amp, t_amp),
                         reference_solve_batch(energies, scenario)):
         assert np.all(np.abs(got - ref)
                       <= 5e-11 * np.maximum(1.0, np.abs(ref)))
@@ -430,7 +498,7 @@ def exact_probabilities(energy: float, scenario: ScatteringScenario):
         phys, geom = scenario.phys, scenario.geom
         h2m = mpmath.mpf(phys.hbar2_over_2m)
         radius, length = mpmath.mpf(geom.radius), mpmath.mpf(geom.length)
-        l, alpha = scenario.mode.l, mpmath.mpf(scenario.alpha)
+        l, alpha = scenario.mode.l, mpmath.mpf(scenario.twist.rate)
         energy = mpmath.mpf(energy)
         g_zz = 1 + radius**2 * alpha**2
         v_eff = h2m * (g_zz * l**2 - mpmath.mpf(1) / 4) / radius**2
@@ -485,3 +553,63 @@ def test_extreme_regimes_stay_unitary(kind, radius, length, l):
     assert np.any(ok)
     assert np.all(np.abs(sweep.transmission[ok] + sweep.reflection[ok] - 1.0)
                   <= 1e-12)
+
+
+def literal_ode_probabilities(energy: float, scenario: ScatteringScenario):
+    """(T, R) from DOP853 on the literal mode equation of any twist profile.
+
+    In the unknowns (Z, w) with w = Z' - i l f Z, the current's derivative
+    term, the equation reads Z' = i l f Z + w, w' = ((V* - E)/t) Z + i l f w
+    with t = hbar^2/2m: a change of unknowns that keeps the twist and needs
+    no f', not the gauge transform. Integrates backward from a unit outgoing
+    wave at z = L and matches plane waves at z = 0.
+    """
+    t = scenario.phys.hbar2_over_2m
+    l, f = scenario.mode.l, scenario.twist.f
+    c = (scenario.inside_threshold - energy) / t
+    k = np.sqrt((energy - scenario.outside_threshold) / t)
+    length = scenario.geom.length
+
+    def rhs(z, y):
+        ilf = 1j * l * f(z)
+        return [ilf * y[0] + y[1], c * y[0] + ilf * y[1]]
+
+    out = np.exp(1j * k * length)
+    sol = solve_ivp(rhs, (length, 0.0), [out, 1j * k * out], method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    z0, w0 = sol.y[:, -1]
+    a_in = 0.5 * (z0 + w0 / (1j * k))
+    b_out = 0.5 * (z0 - w0 / (1j * k))
+    return 1.0 / abs(a_in)**2, abs(b_out / a_in)**2
+
+
+@st.composite
+def profiled_cases(draw):
+    """Both scenarios over R in [0.3, 3], L in [0.1, 10], |l| <= 3 with a
+    ramp theta = a0 z^2 or theta = a sin(bz), at an energy 0.01 to 10 above
+    the outside threshold (below the inside one a free scenario tunnels)."""
+    kind = draw(st.sampled_from((embedded, free)))
+    geom = CylinderGeometry(draw(st.floats(0.3, 3.0)),
+                            draw(st.floats(0.1, 10.0)))
+    if draw(st.booleans()):
+        twist = TwistProfile.linear_ramp(draw(st.floats(-0.5, 0.5)))
+    else:
+        a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.1, 3.0))
+        twist = TwistProfile.profiled(lambda z: a * np.sin(b * z),
+                                      lambda z: a * b * np.cos(b * z))
+    scenario = kind(alpha=twist, l=draw(st.integers(-3, 3)), geom=geom)
+    energy = scenario.outside_threshold + draw(st.floats(1e-2, 10.0))
+    if abs(energy - scenario.inside_threshold) < 1e-6:
+        energy += 1e-3
+    return scenario, energy
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(profiled_cases())
+def test_profiled_twist_matches_literal_ode(case):
+    scenario, energy = case
+    sol = solve_scattering(energy, scenario)
+    t_ode, r_ode = literal_ode_probabilities(energy, scenario)
+    assert abs(sol.transmission - t_ode) <= 1e-10
+    assert abs(sol.reflection - r_ode) <= 1e-10
