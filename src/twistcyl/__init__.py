@@ -38,7 +38,7 @@ from .scattering import (ScatteringScenario, ScatteringSolution, SweepResult,
                          region_roots, solve_scattering, transmission_sweep)
 from .spectrum import (ModeNumbers, WavefunctionSample, bound_wavefunction,
                        effective_potential, eigenenergy, gauge_potential_star,
-                       list_bound_states, no_bound_states_below, twist_phase)
+                       list_bound_states, twist_phase)
 
 __all__ = [
     "COVARIANT", "CONTRAVARIANT", "ConfigError", "CurvatureData",
@@ -50,7 +50,7 @@ __all__ = [
     "effective_potential", "eigenenergy", "fd_bound_spectrum",
     "fd_eigenpairs", "gauge_potential_star", "inverse_metric",
     "list_bound_states", "metric_from_embedding_fd", "metric_from_strain",
-    "no_bound_states_below", "ode_transmission_oracle", "outside_wavevector",
+    "ode_transmission_oracle", "outside_wavevector",
     "probability_current", "region_roots", "solve_scattering",
     "strain_from_linear_twist", "surface_curvatures", "transmission_sweep",
     "twist_phase", "twisted_metric", "undeformed_metric",

@@ -28,11 +28,13 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import ConfigError, TwistCylError
-from .geometry import (ELECTRON_NM_EV, NATURAL, CylinderGeometry,
-                       PhysicsParams, TwistProfile)
+from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
 from .scattering import ScatteringScenario, transmission_sweep
 from .spectrum import ModeNumbers, bound_wavefunction, list_bound_states
 from .validation import run_validation
+
+NATURAL = "natural"
+ELECTRON_NM_EV = "electron_nm_eV"
 
 # fixed unit-conversion tables for the electron_nm_eV preset
 _UNIT_TABLES = {
@@ -216,6 +218,9 @@ def _run_sweep(config: RunConfig) -> None:
 
 
 def _run_validate(config: RunConfig) -> int:
+    if config.output_format != "csv":
+        raise ConfigError("validate writes a text table; format = "
+                          f"{config.output_format} is not supported")
     lines, ok = run_validation()
     text = "\n".join(lines) + "\n"
     if config.output_path:  # the table goes to stdout in any case
@@ -280,8 +285,6 @@ _SCHEMA = {
         int, "256", 1, "wavefunction grid needs at least 2 points per axis"),
     ("wavefunction", "n_z"): (
         int, "256", 1, "wavefunction grid needs at least 2 points per axis"),
-    ("run", "command"): (tuple(_COMMANDS), None, None,
-                         "unknown command {!r}"),
     ("output", "path"): (str, None, None, None),
     ("output", "format"): (("csv", "json"), "csv", None,
                            "unknown output format {!r}"),
@@ -444,7 +447,7 @@ def parse_config(text: str) -> RunConfig:
         echo.setdefault(section, {})[key] = raw
 
     return RunConfig(
-        command=value["run", "command"], physics=physics, geometry=geometry,
+        command=None, physics=physics, geometry=geometry,
         twist=twist, n_max=value["modes", "n_max"],
         l_max=value["modes", "l_max"], scattering_l=value["scattering", "l"],
         energy_grid=energy_grid, sweep=sweep,

@@ -1,12 +1,13 @@
 """Differential geometry of twisted cylindrical shells.
 
 Surface coordinates are (phi, z) on a cylinder of radius R; a twist rotates
-the cross section at height z by the angle theta(z) = alpha(z) * z. Every
-deformed-surface tensor depends on the twist only through the local rate
+the cross section at height z by the angle theta(z). Every deformed-surface
+tensor depends on the twist only through the local rate
 
     f(z) = theta'(z),
 
-which reduces to the constant rate alpha for a uniform twist. The covariant
+which is the constant alpha for a uniform twist theta = alpha z and
+2 a0 z for a linear ramp theta = a0 z^2. The covariant
 deformed metric is [[R^2, R^2 f], [R^2 f, 1 + R^2 f^2]] with determinant R^2
 for any f, and the curvature scalars (K = 0, M = 1/(2R)) and the resulting
 curvature-induced quantum potential are insensitive to the twist.
@@ -25,17 +26,15 @@ from .errors import SingularMetric
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
 
-NATURAL = "natural"
-ELECTRON_NM_EV = "electron_nm_eV"
-
 # hbar^2 / (2 m_e) in eV nm^2, from CODATA hbar and m_e.
 HBAR_SQ_OVER_2ME_EV_NM2 = 0.0380998
 
 _DET_RTOL = 1e-12
 
-# centred-difference step of TwistProfile.profiled, relative to max(1, |z|):
-# near eps^(1/3), which balances truncation against rounding
-_FD_STEP_F = 1e-5
+# centred-difference step of TwistProfile.profiled, relative to max(1, |z|),
+# and of metric_from_embedding_fd: near eps^(1/3), which balances truncation
+# against rounding
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -44,25 +43,17 @@ class PhysicsParams:
 
     hbar: float = 1.0
     mass: float = 1.0  # effective mass
-    unit_system: str = NATURAL
 
     def __post_init__(self):
         if self.hbar <= 0.0:
             raise ValueError("hbar must be positive")
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
-        if self.unit_system not in (NATURAL, ELECTRON_NM_EV):
-            raise ValueError(f"unknown unit system {self.unit_system!r}")
-
-    @classmethod
-    def natural(cls) -> "PhysicsParams":
-        return cls()
 
     @classmethod
     def electron_nm_ev(cls) -> "PhysicsParams":
         """Electron in nm/eV units: hbar^2/(2m) = 0.0380998 eV nm^2."""
-        return cls(hbar=1.0, mass=1.0 / (2.0 * HBAR_SQ_OVER_2ME_EV_NM2),
-                   unit_system=ELECTRON_NM_EV)
+        return cls(hbar=1.0, mass=1.0 / (2.0 * HBAR_SQ_OVER_2ME_EV_NM2))
 
     @property
     def hbar2_over_2m(self) -> float:
@@ -89,8 +80,8 @@ class TwistProfile:
     f = theta'.
 
     Each callable accepts a float or an array. Use the constructors:
-    ``constant`` for theta = a z (``rate`` is then a), ``linear_ramp`` for
-    theta = a0 z^2 (the rate alpha(z) = a0 z), or ``profiled`` for a
+    ``constant`` for theta = a z (f and ``rate`` are then a), ``linear_ramp``
+    for theta = a0 z^2 (f = 2 a0 z), or ``profiled`` for a
     caller-supplied angle. ``profiled`` fills in f, when it is not given, by
     a centred difference of theta with a step of 1e-5 max(1, |z|). For
     theta = 0.3 z + 0.2 z sin z on [0, 5] it holds to 3e-10; the error grows
@@ -117,7 +108,7 @@ class TwistProfile:
                  f: Callable | None = None) -> "TwistProfile":
         if f is None:
             def f(z):
-                h = _FD_STEP_F * np.maximum(1.0, np.abs(z))
+                h = _FD_STEP * np.maximum(1.0, np.abs(z))
                 return (theta(z + h) - theta(z - h)) / (2.0 * h)
         return cls(theta=theta, f=f)
 
@@ -274,18 +265,16 @@ def da_costa_potential(curv: CurvatureData, phys: PhysicsParams) -> float:
 
 
 def metric_from_embedding_fd(geom: CylinderGeometry, twist: TwistProfile,
-                             point: tuple[float, float],
-                             step: float = 1e-5) -> Metric2:
+                             point: tuple[float, float]) -> Metric2:
     """First fundamental form from central differences of the embedding map.
 
     r(phi, z) = (R cos(phi + theta(z)), R sin(phi + theta(z)), z). Uses only
     the rotation angle, never f(z), so it serves as an oracle for
-    ``twisted_metric``. Second-order accurate: with step 1e-5 the components
-    are good to about 1e-9.
+    ``twisted_metric``. Second-order accurate: with its step of 1e-5 the
+    components are good to about 1e-9.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     r = geom.radius
+    step = _FD_STEP
     phi, z = point
 
     def emb(p: float, zz: float) -> np.ndarray:

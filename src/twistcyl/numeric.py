@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .errors import EigensolverFailure, IntegratorFailure, NoPropagatingChannel
-from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
-                       da_costa_potential, surface_curvatures)
+from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
+from .spectrum import ModeNumbers, effective_potential
 
 _RK4_LOG2_STEP = 10  # ODE oracle: h max(1, max|A_ij|) <= 2^-_RK4_LOG2_STEP
 _IMAG_RTOL = 1e-11  # eigen-oracle: largest imaginary part accepted, relative
@@ -28,10 +28,11 @@ def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
                    phys: PhysicsParams, points: int):
     """Chebyshev collocation matrix of the literal longitudinal mode operator.
 
-        -t Z'' + i l t [(f Z)' + f Z'] + [V_g + t (f^2 + 1/R^2) l^2] Z
+        -t Z'' + i l t [(f Z)' + f Z'] + V(f) Z
 
-    with t = hbar^2/(2m) and f = theta'; the bracket is 2 f Z' + f' Z with
-    no derivative of f. On the Gauss-Lobatto points x_j = cos(j pi / N),
+    with t = hbar^2/(2m), f = theta' and V the raw potential
+    ``effective_potential``; the bracket is 2 f Z' + f' Z with no
+    derivative of f. On the Gauss-Lobatto points x_j = cos(j pi / N),
     j = 0..N, mapped to z = L (1 - x)/2, D is the differentiation matrix of
     Trefethen's cheb.m (Spectral Methods in MATLAB, SIAM 2000), with its
     diagonal set by the negative-sum trick. Dropping the first and last rows
@@ -54,10 +55,8 @@ def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
     z = 0.5 * geom.length * (1.0 - x[1:-1])
     t = phys.hbar2_over_2m
     f = np.broadcast_to(twist.f(z), z.shape)
-    v_g = da_costa_potential(surface_curvatures(geom, 0.0), phys)
-    potential = v_g + t * (f**2 + 1.0 / geom.radius**2) * l**2
     op = (-t * d2 + 1j * l * t * (d1 * f[None, :] + f[:, None] * d1)
-          + np.diag(potential))
+          + np.diag(effective_potential(ModeNumbers(l=l), geom, f, phys)))
     if not np.all(np.isfinite(op)):
         raise EigensolverFailure(
             f"mode operator not finite for l = {l}, {geom}")
@@ -187,10 +186,8 @@ def ode_transmission_oracle(energy, scenario):
     t = phys.hbar2_over_2m
 
     k = np.sqrt((energies - thr) / t)
-    v_g = da_costa_potential(surface_curvatures(geom, 0.0), phys)
-    v_eff = v_g + t * (alpha**2 + 1.0 / geom.radius**2) * l**2
     c1 = 2j * l * alpha
-    c0 = (v_eff - energies) / t
+    c0 = (effective_potential(scenario.mode, geom, alpha, phys) - energies) / t
 
     length = geom.length
     scale = max(1.0, float(np.max(np.abs(c0))), abs(c1))

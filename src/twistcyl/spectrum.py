@@ -15,9 +15,7 @@ import numpy as np
 
 from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
 
-DEFAULT_GRID = (256, 256)
-
-# from this twist phase on one ulp of it is a whole radian
+# from this phase on one ulp of it is a whole radian
 _PHASE_LIMIT = 2.0**52
 
 
@@ -35,22 +33,30 @@ class ModeNumbers:
             raise ValueError("n must be an integer >= 1")
 
 
-def effective_potential(mode: ModeNumbers, geom: CylinderGeometry,
-                        alpha: float, phys: PhysicsParams) -> float:
-    """Raw mode-l potential (hbar^2 / 2 m R^2) (g_zz l^2 - 1/4), g_zz = 1 + R^2 a^2.
+def effective_potential(mode: ModeNumbers, geom: CylinderGeometry, f,
+                        phys: PhysicsParams):
+    """Raw mode-l potential (hbar^2 / 2 m R^2) (g_zz l^2 - 1/4), g_zz = 1 + R^2 f^2.
 
-    The centrifugal term carries the twist through g_zz; the phase transform
-    removes it again, see ``gauge_potential_star``. It is evaluated as
-    t [(l^2 - 1/4)/R^2 + (a l)^2], so R^2 a^2 cannot overflow when the
+    ``f`` is the local twist rate theta', a float or an array. The
+    centrifugal term carries the twist through g_zz; the phase transform
+    removes it again, see ``gauge_potential_star``. The -1/4 is the
+    curvature-induced potential. It is evaluated as
+    t [(l^2 - 1/4)/R^2 + (f l)^2], so R^2 f^2 cannot overflow when the
     potential itself is finite.
     """
     return phys.hbar2_over_2m * ((mode.l**2 - 0.25) / geom.radius**2
-                                 + (alpha * mode.l)**2)
+                                 + (f * mode.l)**2)
 
 
 def gauge_potential_star(mode: ModeNumbers, geom: CylinderGeometry,
                          phys: PhysicsParams) -> float:
-    """Phase-transformed potential (hbar^2 / 2 m R^2)(l^2 - 1/4); no twist input exists."""
+    """Phase-transformed potential V* = (hbar^2 / 2 m R^2)(l^2 - 1/4); no
+    twist input exists.
+
+    V* is also the energy floor of mode l: below it solutions are sinh-type
+    and cannot satisfy both hard-wall conditions, so any correct spectrum
+    lies strictly above it.
+    """
     return phys.hbar2_over_2m * (mode.l**2 - 0.25) / geom.radius**2
 
 
@@ -64,18 +70,6 @@ def eigenenergy(mode: ModeNumbers, geom: CylinderGeometry,
     t = phys.hbar2_over_2m
     box = t * (mode.n * np.pi / geom.length)**2
     return box + gauge_potential_star(mode, geom, phys)
-
-
-def no_bound_states_below(mode: ModeNumbers, geom: CylinderGeometry,
-                          phys: PhysicsParams) -> float:
-    """Energy floor for mode l: below it only the trivial solution survives.
-
-    Solutions under the phase-transformed potential are sinh-type there and
-    cannot satisfy both hard-wall conditions, so any correct spectrum lies
-    strictly above the returned value. Test harnesses assert the
-    eigen-oracle finds nothing at or below it.
-    """
-    return gauge_potential_star(mode, geom, phys)
 
 
 def twist_phase(twist: TwistProfile, l: int, z):
@@ -130,17 +124,22 @@ class WavefunctionSample:
 
 def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
                        twist: TwistProfile, phys: PhysicsParams,
-                       grid: tuple[int, int] = DEFAULT_GRID) -> WavefunctionSample:
+                       grid: tuple[int, int]) -> WavefunctionSample:
     """Normalized bound state psi = (pi R L)^(-1/2) sin(n pi z / L) e^{i l (phi + theta(z))}.
 
     phi covers [0, 2pi) without the duplicate endpoint; z includes both
     endpoints so the hard-wall zeros sit exactly on the grid. The twist
-    contributes only the unimodular phase, so the density is twist free; a
-    phase that ``twist_phase`` cannot resolve raises FloatingPointError.
+    contributes only the unimodular phase, so the density is twist free. A
+    phase that ``twist_phase`` cannot resolve raises FloatingPointError, and
+    so does n >= 2^52, where n pi z / L keeps no digit either.
     """
     n_phi, n_z = grid
     if n_phi < 2 or n_z < 2:
         raise ValueError("grid must have at least 2 points per axis")
+    if mode.n >= _PHASE_LIMIT:
+        raise FloatingPointError(
+            f"mode n = {mode.n} is not below 2^52: the longitudinal phase "
+            "n pi z / L keeps no digit")
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     z = np.linspace(0.0, geom.length, n_z)
     phase = twist_phase(twist, mode.l, z)

@@ -14,8 +14,8 @@ import random
 import numpy as np
 
 from .errors import TwistCylError
-from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
-                       da_costa_potential, inverse_metric,
+from .geometry import (CurvatureData, CylinderGeometry, PhysicsParams,
+                       TwistProfile, da_costa_potential, inverse_metric,
                        metric_from_embedding_fd, metric_from_strain,
                        strain_from_linear_twist, surface_curvatures,
                        twisted_metric, undeformed_metric)
@@ -23,7 +23,7 @@ from .numeric import fd_bound_spectrum, fd_eigenpairs, ode_transmission_oracle
 from .scattering import (FLAG_OK, ScatteringScenario, solve_scattering,
                          transmission_sweep)
 from .spectrum import (ModeNumbers, bound_wavefunction, eigenenergy,
-                       no_bound_states_below, twist_phase)
+                       gauge_potential_star, twist_phase)
 
 _PHYS = PhysicsParams()
 _GEOM = CylinderGeometry(radius=1.0, length=1.0)
@@ -62,7 +62,7 @@ def _check_embedding():
     for twist, z in ((TwistProfile.constant(0.5), 0.7),
                      (TwistProfile.linear_ramp(0.3), 2.0)):
         geom = CylinderGeometry(2.0, 5.0)
-        fd = metric_from_embedding_fd(geom, twist, (0.3, z), step=1e-5)
+        fd = metric_from_embedding_fd(geom, twist, (0.3, z))
         closed = twisted_metric(geom, twist.f(z))
         devs.append(np.max(np.abs(fd.as_array() - closed.as_array())))
     worst = float(np.max(devs))
@@ -70,13 +70,21 @@ def _check_embedding():
 
 
 def _check_curvature():
+    # K = det h / det g and M = |tr(g^-1 h)| / 2 from the two fundamental
+    # forms, against the returned scalars and against 0 and 1/(2R)
     devs = []
     for r in (0.5, 1.0, 2.0):
         geom = CylinderGeometry(r, 1.0)
         for f in (0.0, 0.5, 7.0):
             curv = surface_curvatures(geom, f)
-            devs += [abs(curv.gaussian), abs(curv.mean - 1.0 / (2.0 * r)),
-                     abs(da_costa_potential(curv, _PHYS)
+            g = twisted_metric(geom, f)
+            h = curv.second_form
+            gaussian = h.det / g.det
+            mean = 0.5 * abs(np.trace(inverse_metric(g).contract(h)))
+            derived = CurvatureData(h, mean, gaussian)
+            devs += [abs(gaussian), abs(curv.gaussian - gaussian),
+                     abs(mean - 1.0 / (2.0 * r)), abs(curv.mean - mean),
+                     abs(da_costa_potential(derived, _PHYS)
                          + _PHYS.hbar2_over_2m / (4.0 * r * r))]
     worst = float(np.max(devs))
     return worst <= 1e-14, f"max deviation {worst:.2e} (tol 1e-14)"
@@ -137,7 +145,7 @@ def _check_density():
 def _check_subthreshold():
     margins = []
     for l in (0, 1):
-        floor = no_bound_states_below(ModeNumbers(l=l), _GEOM, _PHYS)
+        floor = gauge_potential_star(ModeNumbers(l=l), _GEOM, _PHYS)
         vals = fd_bound_spectrum(l, _GEOM, TwistProfile.constant(0.5), _PHYS,
                                  3)
         margins.append(np.min(vals) - floor)

@@ -18,7 +18,7 @@ from twistcyl.numeric import (fd_bound_spectrum, fd_eigenpairs,
                               ode_transmission_oracle)
 from twistcyl.scattering import ScatteringScenario, solve_scattering
 from twistcyl.spectrum import (ModeNumbers, eigenenergy,
-                               no_bound_states_below, twist_phase)
+                               gauge_potential_star, twist_phase)
 from twistcyl.validation import CHECKS
 
 PHYS = PhysicsParams()
@@ -114,7 +114,7 @@ def test_criterion_8_no_subthreshold_states():
     for l in (0, 1, 2):
         for radius in (0.5, 1.0):
             geom = CylinderGeometry(radius, 1.0)
-            floor = no_bound_states_below(ModeNumbers(l=l), geom, PHYS)
+            floor = gauge_potential_star(ModeNumbers(l=l), geom, PHYS)
             for twist in TWISTS.values():
                 vals = fd_bound_spectrum(l, geom, twist, PHYS, 3)
                 margin = min(margin, float(np.min(vals) - floor))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import twistcyl
 from twistcyl.cli import _emit, default_config, main, parse_config
 from twistcyl.errors import ConfigError
-from twistcyl.geometry import ELECTRON_NM_EV
+from twistcyl.geometry import PhysicsParams
 
 MINIMAL = """\
 [geometry]
@@ -44,7 +44,7 @@ def test_parse_minimal_applies_defaults():
     assert config.twist.rate == 0.0
     assert (config.n_max, config.l_max) == (3, 2)
     assert config.output_format == "csv"
-    assert config.physics.unit_system == "natural"
+    assert config.physics == PhysicsParams()
     assert config.wavefunction == (1, 0, 256, 256)
     assert config.scattering_l == 0
     assert config.energy_grid is None and config.sweep is None
@@ -217,8 +217,9 @@ def test_unit_factor_overflow_is_config_error(tmp_path, capsys):
      "line 2: invalid [physics]: hbar must be positive"),
     ("[physics]\nmass = 0\n",
      "line 2: invalid [physics]: mass must be positive"),
+    ("[physics]\nunit_system = cgs\n", "line 2: unknown unit_system 'cgs'"),
 ], ids=["n_max", "n_max-alone", "l_max", "wf-n", "n_phi", "min-max",
-        "points", "length", "hbar", "mass"])
+        "points", "length", "hbar", "mass", "unit_system"])
 def test_bound_error_cites_its_own_line(text, message):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
@@ -249,7 +250,7 @@ max = 2 eV
 points = 5
 """
     config = parse_config(text)
-    assert config.physics.unit_system == ELECTRON_NM_EV
+    assert config.physics == PhysicsParams.electron_nm_ev()
     assert config.physics.hbar2_over_2m == pytest.approx(0.0380998, abs=1e-12)
     assert config.geometry.radius == pytest.approx(1.0, abs=1e-15)
     assert config.twist.rate == pytest.approx(0.5, abs=1e-15)
@@ -419,31 +420,37 @@ def test_sweep_over_alpha_needs_a_constant_profile():
     assert err.value.line == text.splitlines().index("vary = alpha") + 1
 
 
-def _wavefunction_config(twist, l):
+def _wavefunction_config(twist, l, n=1, n_z=5):
     return MINIMAL.replace("length = 1.0", "length = 2") + f"""
 [twist]
 {twist}
 
 [wavefunction]
-n = 1
+n = {n}
 l = {l}
 n_phi = 4
-n_z = 5
+n_z = {n_z}
 """
 
 
-@pytest.mark.parametrize("twist", ["profile = linear-ramp\nalpha0 = 1e308",
-                                   "alpha = 1e308"], ids=["ramp", "constant"])
+@pytest.mark.parametrize("twist,n,n_z", [
+    ("profile = linear-ramp\nalpha0 = 1e308", 1, 5), ("alpha = 1e308", 1, 5),
+    ("alpha = 0", 10**17 + 1, 7), ("alpha = 0", 10**19, 7),
+], ids=["ramp", "constant", "n-1e17", "n-1e19"])
 def test_wavefunction_unresolved_phase_is_numerics_exit(tmp_path, capsys,
-                                                        twist):
-    # l theta(z) is inf or about 1e308 rad: no digit of the phase survives
-    cfg = write(tmp_path, "run.ini", _wavefunction_config(twist, 1))
+                                                        twist, n, n_z):
+    # l theta(z) is inf or about 1e308 rad, or n is past 2^52: no digit of
+    # the phase survives (at n = 1e17 + 1, z = L/6 printed re_psi = 0 where
+    # the state is 0.399)
+    cfg = write(tmp_path, "run.ini", _wavefunction_config(twist, 1, n, n_z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["wavefunction", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     _single_line(captured.err, "error: numerics: FloatingPointError: ")
+    if n > 1:
+        return
     # at l = 0 the twist leaves no phase, however large theta is
     assert (_data_rows(tmp_path, capsys, "wavefunction",
                        _wavefunction_config(twist, 0))
@@ -548,10 +555,32 @@ def test_unknown_command_is_config_error():
     assert main(["transmogrify"]) == 1
 
 
-def test_command_from_run_section(tmp_path):
-    text = "[run]\ncommand = spectrum\n" + MINIMAL
-    config = parse_config(text)
-    assert config.command == "spectrum"
+def test_command_from_run_section(tmp_path, capsys):
+    # the subcommand is the only command; a [run] section is refused, so a
+    # document asking for a sweep cannot silently print a spectrum
+    text = "[run]\ncommand = sweep\n" + MINIMAL
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == "line 1: unknown section [run]"
+    assert main(["spectrum", "--config",
+                 write(tmp_path, "run.ini", text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _single_line(captured.err, "error: config: line 1: unknown section [run]")
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_validate_refuses_json(tmp_path, capsys, how):
+    # validate writes its text table only
+    if how == "flag":
+        argv = ["validate", "--format", "json"]
+    else:
+        argv = ["validate", "--config",
+                write(tmp_path, "run.ini", "[output]\nformat = json\n")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _single_line(captured.err, "error: config: validate writes a text table")
 
 
 def test_validate_exit_code_and_determinism(tmp_path, capsys):
@@ -604,6 +633,24 @@ def test_validate_check_fails_on_nan(monkeypatch):
                         lambda energy, scenario: (float("nan"), 0.0))
     ok, detail = dict(validation.CHECKS)["scattering-ode-oracle"]()
     assert not ok and "nan" in detail
+
+
+def test_validate_curvature_check_reads_the_second_form(monkeypatch, capsys):
+    # K and M are derived from the forms, so a wrong h_zz = -R f (for
+    # -R f^2) fails the check although the returned K and M stay right
+    from twistcyl import validation
+    from twistcyl.geometry import COVARIANT, CurvatureData, Metric2
+
+    def wrong(geom, f):
+        r = geom.radius
+        return CurvatureData(Metric2(-r, -r * f, -r * f, COVARIANT),
+                             mean=1.0 / (2.0 * r), gaussian=0.0)
+
+    monkeypatch.setattr(validation, "surface_curvatures", wrong)
+    assert main(["validate"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].startswith("FAIL  curvature-twist-invariance ")
+    assert lines[-1] == "FAILED: 14 of 15 checks passed"
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):
@@ -809,9 +856,6 @@ def test_emit_json_matches_reference_for_any_labels(tmp_path_factory, table):
 
 
 FULL_NATURAL = """\
-[run]
-command = sweep
-
 [physics]
 hbar = 1.0
 mass = 1.0

@@ -15,8 +15,6 @@ def test_physics_params_validation():
         PhysicsParams(hbar=0.0)
     with pytest.raises(ValueError):
         PhysicsParams(mass=-1.0)
-    with pytest.raises(ValueError):
-        PhysicsParams(unit_system="cgs")
 
 
 def test_electron_preset_matches_codata():
@@ -199,21 +197,21 @@ def test_da_costa_potential_twist_invariant():
 def test_embedding_fd_constant_twist():
     geom = CylinderGeometry(2.0, 10.0)
     got = metric_from_embedding_fd(geom, TwistProfile.constant(0.5),
-                                   (0.3, 1.7), step=1e-5)
+                                   (0.3, 1.7))
     assert np.allclose(got.as_array(), [[4.0, 2.0], [2.0, 2.0]], atol=1e-6)
 
 
 def test_embedding_fd_untwisted_unit_cylinder():
     geom = CylinderGeometry(1.0, 10.0)
     got = metric_from_embedding_fd(geom, TwistProfile.constant(0.0),
-                                   (1.0, 2.0), step=1e-5)
+                                   (1.0, 2.0))
     assert np.allclose(got.as_array(), np.eye(2), atol=1e-6)
 
 
 def test_embedding_fd_linear_ramp():
     geom = CylinderGeometry(1.0, 10.0)
     twist = TwistProfile.linear_ramp(0.3)
-    got = metric_from_embedding_fd(geom, twist, (0.0, 2.0), step=1e-5)
+    got = metric_from_embedding_fd(geom, twist, (0.0, 2.0))
     want = twisted_metric(geom, 1.2)  # f(2) = 0.3*2 + 2*0.3
     assert np.allclose(got.as_array(), want.as_array(), atol=1e-6)
 
@@ -225,8 +223,7 @@ def test_embedding_fd_agrees_with_closed_form_sampled():
         alpha = rng.uniform(-1.5, 1.5)
         z = rng.uniform(0.1, 5.0)
         got = metric_from_embedding_fd(geom, TwistProfile.constant(alpha),
-                                       (rng.uniform(0, 2 * np.pi), z),
-                                       step=1e-5)
+                                       (rng.uniform(0, 2 * np.pi), z))
         want = twisted_metric(geom, alpha)
         assert np.max(np.abs(got.as_array() - want.as_array())) <= 1e-6
 

@@ -14,7 +14,7 @@ from twistcyl.numeric import (_mode_operator, fd_bound_spectrum,
                               fd_eigenpairs, ode_transmission_oracle)
 from twistcyl.scattering import ScatteringScenario, solve_scattering
 from twistcyl.spectrum import (ModeNumbers, eigenenergy,
-                               no_bound_states_below, twist_phase)
+                               gauge_potential_star, twist_phase)
 
 PHYS = PhysicsParams()
 GEOM = CylinderGeometry(radius=1.0, length=1.0)
@@ -186,7 +186,7 @@ def test_collocation_converges_from_n_to_2n(case):
     scale = np.maximum(np.abs(exact), PHYS.hbar2_over_2m / geom.length**2)
     assert np.max(np.abs(vals - exact) / scale) <= 1e-10
     assert np.max(np.abs(vals - untwisted) / scale) <= 1e-10
-    assert np.min(vals) > no_bound_states_below(ModeNumbers(l=l), geom, PHYS)
+    assert np.min(vals) > gauge_potential_star(ModeNumbers(l=l), geom, PHYS)
 
 
 def test_fd_eigenvector_phase_tracks_twist_integral():
@@ -200,7 +200,7 @@ def test_fd_eigenvector_phase_tracks_twist_integral():
 
 def test_fd_no_eigenvalue_below_star_potential():
     for l in (0, 1, 2):
-        floor = no_bound_states_below(ModeNumbers(l=l), GEOM, PHYS)
+        floor = gauge_potential_star(ModeNumbers(l=l), GEOM, PHYS)
         vals = fd_bound_spectrum(l, GEOM, TwistProfile.constant(0.6), PHYS, 4)
         assert np.min(vals) > floor
 

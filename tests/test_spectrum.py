@@ -5,7 +5,7 @@ from twistcyl.geometry import CylinderGeometry, PhysicsParams, TwistProfile
 from twistcyl.spectrum import (ModeNumbers, bound_wavefunction,
                                effective_potential, eigenenergy,
                                gauge_potential_star, list_bound_states,
-                               no_bound_states_below, twist_phase)
+                               twist_phase)
 
 PHYS = PhysicsParams()
 GEOM = CylinderGeometry(radius=1.0, length=1.0)
@@ -83,13 +83,10 @@ def test_ground_state_is_n1_l0():
 
 
 def test_no_bound_states_below_matches_star_potential():
+    # V* is the energy floor: every closed-form level clears it
     for l in (0, 1, 2):
-        mode = ModeNumbers(l=l)
-        assert no_bound_states_below(mode, GEOM, PHYS) == gauge_potential_star(
-            mode, GEOM, PHYS)
-    # every closed-form level clears the floor
-    assert eigenenergy(ModeNumbers(l=0, n=1), GEOM, PHYS) > \
-        no_bound_states_below(ModeNumbers(l=0), GEOM, PHYS)
+        assert eigenenergy(ModeNumbers(l=l, n=1), GEOM, PHYS) > \
+            gauge_potential_star(ModeNumbers(l=l), GEOM, PHYS)
 
 
 def test_twist_phase_constant():
