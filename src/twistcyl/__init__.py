@@ -32,7 +32,6 @@ from .geometry import (COVARIANT, CONTRAVARIANT, CurvatureData,
                        metric_from_embedding_fd, metric_from_strain,
                        strain_from_linear_twist, surface_curvatures,
                        twisted_metric, undeformed_metric)
-from .numeric import fd_bound_spectrum, fd_eigenpairs, ode_transmission_oracle
 from .scattering import (ScatteringScenario, ScatteringSolution, SweepResult,
                          outside_wavevector, probability_current,
                          region_roots, solve_scattering, transmission_sweep)
@@ -57,3 +56,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# the oracles, in ``numeric``, load on first use (PEP 562): of the commands
+# only validate needs them
+_ORACLES = ("fd_bound_spectrum", "fd_eigenpairs", "ode_transmission_oracle")
+
+
+def __getattr__(name):
+    if name in _ORACLES:
+        from . import numeric
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

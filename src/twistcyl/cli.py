@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
@@ -31,7 +32,6 @@ from .errors import ConfigError, TwistCylError
 from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
 from .scattering import ScatteringScenario, transmission_sweep
 from .spectrum import ModeNumbers, bound_wavefunction, list_bound_states
-from .validation import run_validation
 
 NATURAL = "natural"
 ELECTRON_NM_EV = "electron_nm_eV"
@@ -76,6 +76,13 @@ class RunConfig:
 _CELL = {"f": "%.12g", "i": "%d", "U": "%s"}
 
 
+def _sweep_tags(vary: str, values) -> list:
+    """The ``[vary=value]`` column tag of each sweep value, the value
+    printed as a cell of its kind."""
+    fmt = _CELL[np.asarray(values).dtype.kind]
+    return [f"[{vary}={fmt % value}]" for value in values]
+
+
 def _json_cells(column: np.ndarray) -> list:
     """One column's cells as values whose ``%s`` is their JSON text.
 
@@ -93,6 +100,29 @@ def _json_cells(column: np.ndarray) -> list:
     return cells.tolist()
 
 
+def _cells_once(columns, conversion, cells) -> list:
+    """Per column, its ``%`` conversion in the row template and its cells.
+
+    A column that occurs once gets ``conversion(column)`` and
+    ``cells(column)``. A column whose dtype and bytes repeat (a sweep's
+    identical T, R and flag groups) is formatted into strings once, and
+    every occurrence splices that one list in as ``%s``. Bytes, not values,
+    make the key, so 0.0 and -0.0, or two NaNs, are never merged.
+    """
+    keys = [(column.dtype.str, column.tobytes()) for column in columns]
+    count = Counter(keys)
+    text = {}
+    out = []
+    for column, key in zip(columns, keys):
+        if count[key] == 1:
+            out.append((conversion(column), cells(column)))
+            continue
+        if key not in text:
+            text[key] = list(map(conversion(column).__mod__, cells(column)))
+        out.append(("%s", text[key]))
+    return out
+
+
 def _json_document(schema: str, config: RunConfig, header, columns) -> str:
     """The ``json.dumps(..., sort_keys=True, indent=2)`` text of the artifact.
 
@@ -105,7 +135,8 @@ def _json_document(schema: str, config: RunConfig, header, columns) -> str:
     template = "    {\n%s\n    }" % ",\n".join(
         f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s"
         for key in keys)
-    cells = [_json_cells(columns[last[key]]) for key in keys]
+    cells = [column_cells for _, column_cells in _cells_once(
+        [columns[last[key]] for key in keys], lambda _: "%s", _json_cells)]
     rows = ",\n".join(map(template.__mod__, zip(*cells, strict=True)))
     text = json.dumps({"schema": schema, "config_sha256": config.config_sha256,
                        "config": config.echo, "rows": []},
@@ -134,8 +165,10 @@ def _emit(config: RunConfig, schema: str, header, columns) -> None:
     if config.output_format == "json":
         text = _json_document(schema, config, header, columns)
     else:
-        template = ",".join(_CELL[column.dtype.kind] for column in columns)
-        rows = zip(*[column.tolist() for column in columns], strict=True)
+        specs = _cells_once(columns, lambda column: _CELL[column.dtype.kind],
+                            lambda column: column.tolist())
+        template = ",".join(conversion for conversion, _ in specs)
+        rows = zip(*[cells for _, cells in specs], strict=True)
         text = "\n".join([f"# schema: {schema}",
                           f"# config-sha256: {config.config_sha256}",
                           ",".join(header), *map(template.__mod__, rows)]) + "\n"
@@ -206,15 +239,26 @@ def _run_sweep(config: RunConfig) -> None:
     scenarios = [_scenario(config, spec.scenario, spec.vary, value)
                  for value in spec.values]
     energies = _require_grid(config)
-    value_fmt = _CELL[np.asarray(spec.values).dtype.kind]
     header = ["energy"]
     columns = [energies]
-    for value, scenario in zip(spec.values, scenarios):
-        tag = f"[{spec.vary}={value_fmt % value}]"
+    # every field transmission_sweep reads; the twist, a gauge phase, is not
+    # one, so an alpha sweep solves once whatever its length
+    solved = {}
+    for tag, scenario in zip(_sweep_tags(spec.vary, spec.values), scenarios):
         header += [f"T{tag}", f"R{tag}", f"flag{tag}"]
-        sweep = transmission_sweep(scenario, energies)
+        key = (scenario.kind, scenario.geom, scenario.mode.l, scenario.phys)
+        if key not in solved:
+            solved[key] = transmission_sweep(scenario, energies)
+        sweep = solved[key]
         columns += [sweep.transmission, sweep.reflection, sweep.flag]
     _emit(config, "twistcyl-sweep-v1", tuple(header), columns)
+
+
+def run_validation():
+    """``validation.run_validation``, imported on the first call, so that
+    only ``validate`` loads the oracles."""
+    from .validation import run_validation as run_checks
+    return run_checks()
 
 
 def _run_validate(config: RunConfig) -> int:
@@ -439,6 +483,13 @@ def parse_config(text: str) -> RunConfig:
                        for tok in tokens)
         if floor is not None and not min(values) > floor:
             raise ConfigError(f"{vary} values must be positive", lineno)
+        # two values whose column tags print alike would merge their columns
+        first = {}
+        for token, tag in zip(tokens, _sweep_tags(vary, values)):
+            if tag in first:
+                raise ConfigError(f"sweep values {first[tag]!r} and "
+                                  f"{token!r} both print as {tag}", lineno)
+            first[tag] = token
         sweep = SweepSpec(scenario=value["sweep", "scenario"], vary=vary,
                           values=values)
 

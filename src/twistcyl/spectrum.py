@@ -131,19 +131,27 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
     endpoints so the hard-wall zeros sit exactly on the grid. The twist
     contributes only the unimodular phase, so the density is twist free. A
     phase that ``twist_phase`` cannot resolve raises FloatingPointError, and
-    so does n >= 2^52, where n pi z / L keeps no digit either.
+    so does n >= 2^52, where the half-wavelength L / n has shrunk to the
+    float spacing of z near L.
+
+    On the grid z_j = j L / m, m = n_z - 1, the sine is sin(n pi j / m) with
+    n j reduced modulo 2 m in integers, so a large n loses no digit to a
+    float product n z / L.
     """
     n_phi, n_z = grid
     if n_phi < 2 or n_z < 2:
         raise ValueError("grid must have at least 2 points per axis")
     if mode.n >= _PHASE_LIMIT:
         raise FloatingPointError(
-            f"mode n = {mode.n} is not below 2^52: the longitudinal phase "
-            "n pi z / L keeps no digit")
+            f"mode n = {mode.n} is not below 2^52: the half-wavelength L / n "
+            "is no wider than the float spacing of z")
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     z = np.linspace(0.0, geom.length, n_z)
     phase = twist_phase(twist, mode.l, z)
-    amp = _sinpi(mode.n * z / geom.length) / np.sqrt(np.pi * geom.radius * geom.length)
+    # (n mod 2m) j < 2 m^2 stays exact in int64 for any grid that fits in memory
+    period = 2 * (n_z - 1)
+    turns = (int(mode.n) % period * np.arange(n_z)) % period
+    amp = _sinpi(turns / (n_z - 1)) / np.sqrt(np.pi * geom.radius * geom.length)
     longitudinal = amp * np.exp(1j * phase)
     values = np.exp(1j * mode.l * phi)[:, None] * longitudinal[None, :]
     return WavefunctionSample(phi=phi, z=z, values=values,

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,58 @@ def test_import_after_numpy_changes_nothing():
                  "print('OPENBLAS_NUM_THREADS' in os.environ, "
                  "before == threads())")
     assert out == ["False", "True"]
+
+
+def test_cli_import_leaves_the_oracles_unloaded():
+    # only validate loads numeric and validation; the package still exports
+    # the oracles, resolved on first use
+    out = _fresh("import twistcyl.cli\n"
+                 "print('twistcyl.numeric' in sys.modules, "
+                 "'twistcyl.validation' in sys.modules)\n"
+                 "import twistcyl\n"
+                 "print(twistcyl.fd_bound_spectrum.__module__)\n"
+                 "twistcyl.cli.main(['validate'])\n")
+    assert out[:3] == ["False", "False", "twistcyl.numeric"]
+    assert " ".join(out[-6:]) == "OK: 15 of 15 checks passed"
+
+
+_LAUNCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench", "launch.py")
+
+
+def _span_counts(tmp_path, *argv):
+    """Span name -> count of one traced ``bench/launch.py run`` of ``argv``,
+    which must exit 0."""
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, _LAUNCH, "run", "--spans",
+                           str(spans), "--", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return Counter(span[1] for span in json.loads(spans.read_text()))
+
+
+@pytest.mark.parametrize("vary,values,solves", [
+    ("alpha", "0, 0.5, 1", 1), ("radius", "1, 2", 2)])
+def test_sweep_solves_once_per_gauge_class(tmp_path, vary, values, solves):
+    # the twist is a gauge phase: an alpha sweep of any length is one solve
+    cfg = write(tmp_path, "run.ini", SCATTER + f"""
+[sweep]
+scenario = free
+vary = {vary}
+values = {values}
+""")
+    counts = _span_counts(tmp_path, "sweep", "--config", cfg,
+                          "--out", str(tmp_path / "out.csv"))
+    assert counts["scattering.transmission_sweep"] == solves
+
+
+def test_validate_is_one_traced_run_validation(tmp_path):
+    # the trace site twistcyl.cli.run_validation still sees the call
+    counts = _span_counts(tmp_path, "validate", "--out",
+                          str(tmp_path / "table.txt"))
+    assert counts["validation.run_validation"] == 1
+    assert (tmp_path / "table.txt").read_text().endswith(
+        "OK: 15 of 15 checks passed\n")
 
 
 ELECTRON_SCATTER = """\
@@ -340,6 +393,60 @@ values = 0, 0.5, 1.0
         cells = line.split(",")
         assert cells[1] == cells[4] == cells[7]   # T columns
         assert cells[3] == cells[6] == cells[9]   # flag columns
+
+
+@pytest.mark.parametrize("scenario,vary,values,line", [
+    ("embedded", "alpha", ["0", "0.5", "1.25"], "alpha = 0.5"),
+    ("free", "alpha", ["0", "0.5", "1.25"], "alpha = 0.5"),
+    ("free", "radius", ["0.5", "2"], "radius = 1.0"),
+    ("embedded", "l", ["0", "2"], "l = 1"),
+], ids=["embedded-alpha", "free-alpha", "free-radius", "embedded-l"])
+def test_sweep_groups_equal_their_scatter_artifacts(tmp_path, capsys, scenario,
+                                                    vary, values, line):
+    # a sweep solves once per gauge class, so every alpha shares one solve;
+    # each group is still the scatter artifact of its own value, byte for byte
+    sweep = _data_rows(tmp_path, capsys, "sweep", SCATTER + f"""
+[sweep]
+scenario = {scenario}
+vary = {vary}
+values = {", ".join(values)}
+""")
+    assert sweep[0].split(",")[1::3] == [f"T[{vary}={v}]" for v in values]
+    key = line.partition(" = ")[0]
+    for k, value in enumerate(values):
+        scatter = _data_rows(tmp_path, capsys, f"scatter-{scenario}",
+                             SCATTER.replace(line, f"{key} = {value}"))
+        assert len(scatter) == len(sweep) == 21
+        for sweep_row, scatter_row in zip(sweep[1:], scatter[1:]):
+            cells = sweep_row.split(",")
+            assert ",".join(cells[:1] + cells[1 + 3 * k:4 + 3 * k]) \
+                == scatter_row
+
+
+@pytest.mark.parametrize("vary,values,tag", [
+    ("alpha", "0.5, 0.5, 0.5000000000001", "[alpha=0.5]"),
+    ("radius", "1.0, 1.0000000000001", "[radius=1]"),
+    ("l", "1, 1", "[l=1]"),
+], ids=["alpha", "radius", "l"])
+def test_sweep_values_that_print_alike_are_refused(tmp_path, capsys, vary,
+                                                   values, tag):
+    # their groups would share one header tag: the CSV repeated the tag and
+    # the JSON kept one group, although radius values are two geometries
+    text = SCATTER + f"""
+[sweep]
+scenario = free
+vary = {vary}
+values = {values}
+"""
+    with pytest.raises(ConfigError, match=re.escape(f"print as {tag}")) as err:
+        parse_config(text)
+    assert err.value.line == len(text.splitlines())
+    cfg = write(tmp_path, "run.ini", text)
+    assert main(["sweep", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _single_line(captured.err,
+                 f"error: config: line {err.value.line}: sweep values ")
 
 
 def test_sweep_requires_section(tmp_path):
@@ -793,13 +900,41 @@ _CELL_VALUES = {
 }
 
 
+# NaNs with other bits than float("nan"): the sign, and a payload
+_OTHER_NANS = [-float("nan"), np.frombuffer(
+    np.array([0x7FF8000000000001], dtype=np.uint64).tobytes())[0].item()]
+
+
+def _with_copies(draw, kinds, columns):
+    """``kinds`` and ``columns`` with up to three copies of earlier columns
+    inserted after them; a float copy may have the sign of its zeros swapped
+    or one cell made a NaN of other bits, so that it prints alike or differs
+    from its source in a way its bytes show."""
+    kinds, columns = list(kinds), list(columns)
+    for _ in range(draw(st.integers(0, 3))):
+        source = draw(st.integers(0, len(columns) - 1))
+        copy = list(columns[source])
+        change = draw(st.sampled_from(["none", "zero-sign", "nan"]))
+        if kinds[source] == "f" and copy and change == "zero-sign":
+            copy = [-v if v == 0.0 else v for v in copy]
+        elif kinds[source] == "f" and copy and change == "nan":
+            copy[draw(st.integers(0, len(copy) - 1))] = draw(
+                st.sampled_from(_OTHER_NANS))
+        at = draw(st.integers(source + 1, len(columns)))
+        kinds.insert(at, kinds[source])
+        columns.insert(at, copy)
+    return kinds, columns
+
+
 @st.composite
-def tables(draw):
-    """Equal-length columns of mixed kinds, as Python lists."""
+def tables(draw, copies=True):
+    """Equal-length columns of mixed kinds, as Python lists, some of them
+    copies of earlier ones (see ``_with_copies``)."""
     rows = draw(st.integers(0, 12))
     kinds = draw(st.lists(st.sampled_from("fiU"), min_size=1, max_size=5))
-    return kinds, [draw(st.lists(_CELL_VALUES[kind], min_size=rows,
-                                 max_size=rows)) for kind in kinds]
+    columns = [draw(st.lists(_CELL_VALUES[kind], min_size=rows,
+                             max_size=rows)) for kind in kinds]
+    return _with_copies(draw, kinds, columns) if copies else (kinds, columns)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -831,12 +966,13 @@ _TEXT = st.text(st.characters(blacklist_categories=("Cs",),
 @st.composite
 def labelled_tables(draw):
     """A table as in ``tables`` with free-text labels and str cells."""
-    kinds, columns = draw(tables())
-    labels = draw(st.lists(st.sampled_from(["T", "R", "%s", "energy"]) | _TEXT,
-                           min_size=len(kinds), max_size=len(kinds)))
+    kinds, columns = draw(tables(copies=False))
     columns = [draw(st.lists(_TEXT, min_size=len(column),
                              max_size=len(column))) if kind == "U" else column
                for kind, column in zip(kinds, columns)]
+    kinds, columns = _with_copies(draw, kinds, columns)
+    labels = draw(st.lists(st.sampled_from(["T", "R", "%s", "energy"]) | _TEXT,
+                           min_size=len(kinds), max_size=len(kinds)))
     return kinds, labels, columns
 
 

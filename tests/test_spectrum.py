@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -129,6 +130,28 @@ def test_wavefunction_boundary_zeros_exact():
                                 TwistProfile.constant(0.5), PHYS, (32, 33))
     assert np.all(sample.values[:, 0] == 0.0)
     assert np.all(sample.values[:, -1] == 0.0)
+
+
+@pytest.mark.parametrize("n", [10**6 + 1, 10**10 + 1, 10**13 + 1, 2**51 + 3])
+def test_wavefunction_large_n_matches_mpmath(n):
+    # on z_j = j L / m the sine is sin(n pi j / m) with n j reduced in
+    # integers; a float n z / L kept about 16 - log10(n) digits, and at
+    # 2^51 + 3, z = L / 6 it printed -0.2216 for -0.1995
+    m = 6
+    sample = bound_wavefunction(ModeNumbers(l=0, n=n),
+                                CylinderGeometry(radius=1.0, length=2.0),
+                                TwistProfile.constant(0.0), PHYS, (2, m + 1))
+    with mpmath.workdps(50):
+        norm = mpmath.sqrt(mpmath.pi * 2)
+        exact = [float(mpmath.sin(mpmath.pi * n * j / m) / norm)
+                 for j in range(m + 1)]
+    # the reduced argument k / m < 2 is rounded once: a sine error of a few
+    # 1e-16 at modulus 0.4
+    assert np.max(np.abs(sample.values[0].real - exact)) <= 1e-15
+    assert np.all(sample.values.imag == 0.0)
+    # the nodes, n j / m an integer, are exact zeros
+    nodes = [j for j in range(m + 1) if n * j % m == 0]
+    assert np.all(sample.values[0, nodes] == 0.0)
 
 
 def test_wavefunction_l0_real_and_peaked_at_center():
