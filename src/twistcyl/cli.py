@@ -185,7 +185,11 @@ def _require_grid(config: RunConfig) -> np.ndarray:
     if config.energy_grid is None:
         raise ConfigError("[energy_grid] with min, max, points is required")
     e_min, e_max, points = config.energy_grid
-    return np.linspace(e_min, e_max, points)
+    grid = np.linspace(e_min, e_max, points)
+    if not np.all(np.diff(grid) > 0.0):
+        raise ConfigError(f"energy grid of {points} points from {e_min} to "
+                          f"{e_max} repeats a float value")
+    return grid
 
 
 def _scenario(config: RunConfig, kind: str, vary: str | None = None,

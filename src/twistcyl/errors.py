@@ -10,8 +10,10 @@ class SingularMetric(TwistCylError):
 
 
 class ThresholdDegeneracy(TwistCylError):
-    """Scattering energy sits inside the degenerate-roots window at threshold,
-    or its matching system has no finite solution."""
+    """The matching system of a scattering energy has no finite solution:
+    the energy is the section's threshold V* itself, where the two section
+    modes coalesce and the closed form reads 0/0, an input overflows, or
+    the inside phase reaches 2^52 rad."""
 
 
 class NoPropagatingChannel(TwistCylError):

@@ -25,14 +25,19 @@ integrates the untransformed equation, is the independent check of that.
 
 The solve uses the scaled basis
 
-    U_II = A e^{r1 z} + B~ e^{r2 (z-L)},    Z_III = t~ e^{ik(z-L)},
+    U_II = A e^{-rho z} + B~ e^{rho (z-L)},    Z_III = t~ e^{ik(z-L)},
 
-which writes the growing mode about the far interface (Ko & Inkson, PRB 38,
-9945 (1988)). Every exponential in the matching equations then has modulus
-at most one, so deep tunnelling through long sections stays well conditioned
-instead of overflowing like e^{|r| L}; the equations eliminate in closed
-form. The public amplitudes B = B~ e^{-r2 L} and t are recovered afterwards;
-both are bounded.
+rho = r2, which writes the growing mode about the far interface (Ko &
+Inkson, PRB 38, 9945 (1988)). Every exponential in the matching equations
+is then e = e^{-rho L}, of modulus at most one, so deep tunnelling through
+long sections stays finite instead of overflowing like e^{|rho| L}. The four
+equations eliminate to one denominator
+
+    D = (rho^2 - k^2) expm1(-2 rho L) + 2ik rho (1 + e^2),
+
+whose terms both scale with rho: nothing cancels as E nears V*, where the
+two modes coalesce in a removable singularity. The public amplitudes
+B = B~ e and t are recovered afterwards; both are bounded.
 """
 
 from __future__ import annotations
@@ -43,14 +48,11 @@ import numpy as np
 
 from .errors import NoPropagatingChannel, ThresholdDegeneracy
 from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
-from .spectrum import ModeNumbers, gauge_potential_star, twist_phase
+from .spectrum import (_PHASE_LIMIT, ModeNumbers, gauge_potential_star,
+                       twist_phase)
 
 EMBEDDED_CYLINDER = "embedded_cylinder"
 FREE_PARTICLE = "free_particle"
-
-# energies closer to the inside threshold than this many hbar^2/m are
-# refused: the two region-II modes coalesce there and the system turns singular
-THRESHOLD_WINDOW = 1e-9
 
 FLAG_OK = "ok"
 FLAG_SUB_THRESHOLD = "sub_threshold"
@@ -120,33 +122,17 @@ class SweepResult:
     flag: np.ndarray  # str: FLAG_OK, FLAG_SUB_THRESHOLD or FLAG_DEGENERATE
 
 
-def _in_threshold_window(energies: np.ndarray, scenario: ScatteringScenario):
-    """True where |E - V*| < THRESHOLD_WINDOW hbar^2/m; the one rule by which
-    ``region_roots`` refuses and ``transmission_sweep`` flags a point."""
-    return (np.abs(energies - scenario.inside_threshold)
-            < THRESHOLD_WINDOW * scenario.phys.hbar**2 / scenario.phys.mass)
-
-
-def _roots(energies: np.ndarray, scenario: ScatteringScenario):
-    root = np.sqrt(((scenario.inside_threshold - energies)
-                    / scenario.phys.hbar2_over_2m).astype(complex))
-    return -root, root  # principal branch: Re, Im of root >= 0
-
-
 def region_roots(energies, scenario: ScatteringScenario):
     """Roots (r1, r2) = -/+ sqrt((V* - E)/t) of the untwisted region-II mode
     equation at each energy, with t = hbar^2/2m; no twist enters.
 
-    Raises ThresholdDegeneracy if any energy lies in the threshold window,
-    where the two roots coalesce.
+    Principal branch: the real and imaginary parts of r2 are nonnegative. At
+    E = V* the two roots coalesce at 0.
     """
     energies = np.asarray(energies, dtype=float)
-    close = _in_threshold_window(energies, scenario)
-    if np.any(close):
-        raise ThresholdDegeneracy(
-            f"energy {energies[close].flat[0]} within {THRESHOLD_WINDOW} "
-            f"hbar^2/m of the threshold {scenario.inside_threshold}")
-    return _roots(energies, scenario)
+    root = np.sqrt(((scenario.inside_threshold - energies)
+                    / scenario.phys.hbar2_over_2m).astype(complex))
+    return -root, root
 
 
 def outside_wavevector(energies, scenario: ScatteringScenario):
@@ -178,29 +164,37 @@ def _solve_batch(energies: np.ndarray, scenario: ScatteringScenario):
     """Amplitudes (r, A, B, t) at energies that all have an open channel,
     t without its twist phase.
 
-    Eliminates the matching equations in the scaled basis of the module
-    docstring elementwise over the grid, then converts back to the public
-    amplitudes. The caller keeps threshold-window energies out and flags any
-    amplitude that is not finite (a singular matching system).
+    The closed form of the module docstring, elementwise over the grid:
+    t~ = 4ik rho e / D, r = -(rho^2 + k^2) expm1(-2 rho L) / D,
+    A = 2ik (rho - ik) / D and B~ = 2ik (rho + ik) e / D. These are ratios
+    of quadratic forms in (rho, k), so outside rho L both enter scaled by
+    one factor that keeps them from underflowing: rho^2 = (V* - E)/s and
+    k^2 = (E - E_thr)/s with s = |V* - E| + (E - E_thr). rho^2 + k^2 is then
+    exactly 0 in the embedded scenario, and R with it. E == V* gives 0/0.
+    D is NaN where the inside phase |Im rho| L reaches 2^52 rad, which keeps
+    no digit, unless rho^2 + k^2 == 0: a section that matches the outside
+    (r = A = 0, B = t = 1) reads no phase. The caller flags any amplitude
+    that is not finite.
     """
-    k = outside_wavevector(energies, scenario)
-    r1, r2 = _roots(energies, scenario)
     length = scenario.geom.length
-    ik = 1j * k
-    # continuity of U gives r = (A - 1) + e B~ and t~ = e A + B~; that of U'
-    # then leaves (ik + r1) A + (ik + r2) e B~ = 2ik and
-    # (r1 - ik) e A + (r2 - ik) B~ = 0, solved by Cramer's rule. As r2 = -r1,
-    # one rounded e = e^{r1 L} = e^{-r2 L} carries both modes across.
-    # r L may overflow to -inf in the exponent: e^{-inf} = 0 is the decaying
-    # limit, and anything not finite left over is flagged by the caller.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        e = np.exp(r1 * length)
-        det = (ik + r1) * (r2 - ik) - (ik + r2) * e * (r1 - ik) * e
-        a_amp = 2.0 * ik * (r2 - ik) / det
-        b_scaled = -2.0 * ik * (r1 - ik) * e / det
-        r_amp = (a_amp - 1.0) + e * b_scaled
-        t_scaled = e * a_amp + b_scaled
-        return r_amp, a_amp, b_scaled * e, t_scaled * np.exp(-ik * length)
+    # rho L may overflow to inf: e^{-inf} = 0 is the decaying limit
+    with np.errstate(all="ignore"):
+        below = scenario.inside_threshold - energies  # t rho^2
+        above = energies - scenario.outside_threshold  # t k^2
+        scale = np.abs(below) + above
+        rho = np.sqrt((below / scale).astype(complex))
+        ik = 1j * np.sqrt(above / scale)
+        plus = (below + above) / scale  # rho^2 + k^2
+        rho_l = region_roots(energies, scenario)[1] * length
+        e = np.exp(-rho_l)
+        # a sum, not 2.0 * rho_l: a complex product turns inf * 0 into NaN
+        m = np.expm1(-(rho_l + rho_l))
+        d = (below - above) / scale * m + 2.0 * ik * rho * (1.0 + e * e)
+        d[(plus != 0.0) & ~(np.abs(rho_l.imag) < _PHASE_LIMIT)] = np.nan
+        k_l = np.sqrt(above / scenario.phys.hbar2_over_2m) * length
+        return (-plus * m / d, 2.0 * ik * (rho - ik) / d,
+                2.0 * ik * (rho + ik) * e * e / d,
+                4.0 * ik * rho * e * np.exp(-1j * k_l) / d)
 
 
 def solve_scattering(energy: float, scenario: ScatteringScenario) -> ScatteringSolution:
@@ -212,12 +206,12 @@ def solve_scattering(energy: float, scenario: ScatteringScenario) -> ScatteringS
     z = 0 and z = L. The incident amplitude is fixed to one.
     """
     outside_wavevector(energy, scenario)  # a closed channel is refused first
-    region_roots(energy, scenario)  # then the threshold window
     r_amp, a_amp, b_amp, t_amp = (
         complex(v[0]) for v in _solve_batch(np.array([energy]), scenario))
     if not all(np.isfinite((r_amp, a_amp, b_amp, t_amp))):
         raise ThresholdDegeneracy(
-            f"matching system at energy {energy} has no finite solution")
+            f"matching system at energy {energy} has no finite solution "
+            "(E = V*, an overflow, or an inside phase of 2^52 rad or more)")
     start, end = twist_phase(scenario.twist, scenario.mode.l,
                              np.array([0.0, scenario.geom.length]))
     return ScatteringSolution(
@@ -230,10 +224,10 @@ def transmission_sweep(scenario: ScatteringScenario,
     """Solve every energy of a strictly increasing grid, never aborting.
 
     Points without a propagating outside channel are reported with the
-    sub_threshold flag and the convention T = 0, R = 1; points inside the
-    degenerate-roots window, or whose solve is not finite, get the
-    degenerate flag and NaN probabilities. All other points are solved in
-    one batch.
+    sub_threshold flag and the convention T = 0, R = 1. All other points are
+    solved in one batch, and those whose solve is not finite (E == V*
+    exactly, an overflow, or an inside phase |Im rho| L of 2^52 rad or more)
+    get the degenerate flag and NaN probabilities.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or energies.size < 1:
@@ -241,14 +235,13 @@ def transmission_sweep(scenario: ScatteringScenario,
     if energies.size > 1 and not np.all(np.diff(energies) > 0.0):
         raise ValueError("energy grid must be strictly increasing")
     sub = energies <= scenario.outside_threshold
-    degenerate = ~sub & _in_threshold_window(energies, scenario)
-    live = ~(sub | degenerate)
+    live = ~sub
     trans = np.zeros(energies.size)
     refl = np.ones(energies.size)
     r_amp, _, _, t_amp = _solve_batch(energies[live], scenario)
     trans[live] = np.abs(t_amp)**2
     refl[live] = np.abs(r_amp)**2
-    degenerate |= ~(np.isfinite(trans) & np.isfinite(refl))
+    degenerate = ~(np.isfinite(trans) & np.isfinite(refl))
     trans[degenerate] = np.nan
     refl[degenerate] = np.nan
     flags = np.where(sub, FLAG_SUB_THRESHOLD,

@@ -132,7 +132,8 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
     contributes only the unimodular phase, so the density is twist free. A
     phase that ``twist_phase`` cannot resolve raises FloatingPointError, and
     so does n >= 2^52, where the half-wavelength L / n has shrunk to the
-    float spacing of z near L.
+    float spacing of z near L, and so do values or a density that are not
+    finite, as when R L underflows.
 
     On the grid z_j = j L / m, m = n_z - 1, the sine is sin(n pi j / m) with
     n j reduced modulo 2 m in integers, so a large n loses no digit to a
@@ -151,11 +152,19 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
     # (n mod 2m) j < 2 m^2 stays exact in int64 for any grid that fits in memory
     period = 2 * (n_z - 1)
     turns = (int(mode.n) % period * np.arange(n_z)) % period
-    amp = _sinpi(turns / (n_z - 1)) / np.sqrt(np.pi * geom.radius * geom.length)
-    longitudinal = amp * np.exp(1j * phase)
-    values = np.exp(1j * mode.l * phi)[:, None] * longitudinal[None, :]
-    return WavefunctionSample(phi=phi, z=z, values=values,
-                              norm_weight=geom.radius)
+    with np.errstate(all="ignore"):  # R L may underflow: refused below
+        amp = (_sinpi(turns / (n_z - 1))
+               / np.sqrt(np.pi * geom.radius * geom.length))
+        longitudinal = amp * np.exp(1j * phase)
+        values = np.exp(1j * mode.l * phi)[:, None] * longitudinal[None, :]
+        sample = WavefunctionSample(phi=phi, z=z, values=values,
+                                    norm_weight=geom.radius)
+        finite = np.all(np.isfinite(values) & np.isfinite(sample.density()))
+    if not finite:
+        raise FloatingPointError(
+            f"wavefunction of R = {geom.radius}, L = {geom.length} is not "
+            "finite: the normalisation (pi R L)^(-1/2) or its square overflows")
+    return sample
 
 
 def list_bound_states(geom: CylinderGeometry, phys: PhysicsParams,
@@ -163,7 +172,8 @@ def list_bound_states(geom: CylinderGeometry, phys: PhysicsParams,
     """All (n <= n_max, |l| <= l_max) states, ascending in energy.
 
     Energy ties (the +-l degeneracy) are broken by n, then |l|, then l >= 0
-    first, which keeps listings stable across runs.
+    first, which keeps listings stable across runs. An energy that is not
+    finite, as (l^2 - 1/4)/R^2 overflowing, raises FloatingPointError.
     """
     if n_max < 1 or l_max < 0:
         raise ValueError("need n_max >= 1 and l_max >= 0")
@@ -171,6 +181,10 @@ def list_bound_states(geom: CylinderGeometry, phys: PhysicsParams,
     for n in range(1, n_max + 1):
         for l in range(-l_max, l_max + 1):
             mode = ModeNumbers(l=l, n=n)
-            states.append((mode, eigenenergy(mode, geom, phys)))
+            energy = eigenenergy(mode, geom, phys)
+            if not np.isfinite(energy):
+                raise FloatingPointError(
+                    f"energy of mode n = {n}, l = {l} is {energy}")
+            states.append((mode, energy))
     states.sort(key=lambda s: (s[1], s[0].n, abs(s[0].l), s[0].l < 0))
     return states

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 import twistcyl
 from twistcyl.cli import _emit, default_config, main, parse_config
 from twistcyl.errors import ConfigError
-from twistcyl.geometry import PhysicsParams
+from twistcyl.geometry import CylinderGeometry, PhysicsParams
+from twistcyl.scattering import ScatteringScenario
+
+from test_scattering import exact_section
 
 MINIMAL = """\
 [geometry]
@@ -567,7 +570,8 @@ def test_wavefunction_unresolved_phase_is_numerics_exit(tmp_path, capsys,
 
 def test_sweep_flags_coalesced_roots_in_any_units(tmp_path, capsys):
     # hbar^2/2m = 5e19: 1e-6 above V* = 0.375 the region-II roots have
-    # coalesced; the window scales with hbar^2/m, so the row is degenerate
+    # coalesced to |r| ~ 1.4e-13; the rows are ok and print the digits of a
+    # 320-digit solve
     rows = _data_rows(tmp_path, capsys, "sweep", """\
 [physics]
 hbar = 1e10
@@ -590,8 +594,12 @@ scenario = free
 vary = l
 values = 1
 """)
+    scenario = ScatteringScenario.free(
+        CylinderGeometry(1e10, 1.0), 0.0, 1, PhysicsParams(hbar=1e10, mass=1.0))
     assert [row.split(",")[1:] for row in rows[1:]] == [
-        ["nan", "nan", "degenerate"]] * 2
+        [*(format(p, ".12g") for p in exact_section(energy, scenario)), "ok"]
+        for energy in (0.375001, 0.5)]
+    assert rows[1].split(",")[2] == "1.87499500001e-21"
 
 
 def _single_line(err, prefix):
@@ -832,6 +840,58 @@ def test_wide_cylinder_large_twist_and_l_stays_finite(tmp_path, capsys):
         assert abs(float(trans) + float(refl) - 1.0) <= 1e-12
         assert abs(float(trans) - 1.0) <= 1e-15
         assert float(refl) <= 1e-15
+
+
+def _scatter_config(radius, length, l, e_min, e_max, points):
+    return MINIMAL.replace("radius = 1.0", f"radius = {radius}").replace(
+        "length = 1.0", f"length = {length}") + f"""
+[scattering]
+l = {l}
+
+[energy_grid]
+min = {e_min}
+max = {e_max}
+points = {points}
+"""
+
+
+@pytest.mark.parametrize("command,text,code", [
+    # rho L ~ 5e-155 and k << rho: mpmath gives T = 1, R = 2.05e-169
+    ("scatter-free", _scatter_config(3.487e-44, 3.630e-198, 0, 3.4e-55,
+                                     3.5e-55, 2), 0),
+    # an inside phase of 1.5e118 rad keeps no digit: degenerate rows
+    ("scatter-free", _scatter_config(1.02, 2.6e118, 1, 1.0, 2.0, 3), 0),
+    # V* = -inf: degenerate rows without a RuntimeWarning
+    ("scatter-embedded", _scatter_config(4.5e-157, 1.0, 0, 0.01, 5.0, 3), 0),
+    # np.linspace repeats a value a few ulps wide
+    ("scatter-free", _scatter_config(1.0, 1.0, 1, 5.07497072399346e-206,
+                                     5.074970723993465e-206, 7), 1),
+    ("spectrum", MINIMAL.replace("radius = 1.0", "radius = 7.9e-158"), 2),
+    ("wavefunction", _wavefunction_config("alpha = 0", 0).replace(
+        "radius = 1.0", "radius = 1.5e-280").replace(
+        "length = 2", "length = 2.4e-246"), 2),
+], ids=["cancelling-determinant", "inside-phase", "v-star-inf",
+        "collapsed-grid", "spectrum-inf", "wavefunction-nan"])
+def test_extreme_input_ends_finite_or_typed(tmp_path, capsys, command, text,
+                                            code):
+    # exit 0 with finite, unitary ok rows and an empty stderr, or a typed
+    # error: one stderr line and exit 1 (config) or 2 (numerics)
+    cfg = write(tmp_path, "run.ini", text)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        _single_line(err, "error: config: " if code == 1 else "error: ")
+        return
+    assert err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+    for _, trans, refl, flag in rows:
+        if flag == "ok":
+            assert abs(float(trans) + float(refl) - 1.0) <= 1e-12
+        else:
+            assert flag == "degenerate" and trans == refl == "nan"
 
 
 def test_every_export_resolves():

@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -9,11 +9,11 @@ from scipy.optimize import brentq
 from twistcyl.errors import NoPropagatingChannel, ThresholdDegeneracy
 from twistcyl.geometry import CylinderGeometry, PhysicsParams, TwistProfile
 from twistcyl.numeric import ode_transmission_oracle
-from twistcyl.scattering import (FLAG_DEGENERATE, FLAG_OK, FLAG_SUB_THRESHOLD,
-                                 ScatteringScenario, _solve_batch,
-                                 outside_wavevector, probability_current,
-                                 region_roots, solve_scattering,
-                                 transmission_sweep)
+from twistcyl.scattering import (EMBEDDED_CYLINDER, FLAG_DEGENERATE, FLAG_OK,
+                                 FLAG_SUB_THRESHOLD, ScatteringScenario,
+                                 _solve_batch, outside_wavevector,
+                                 probability_current, region_roots,
+                                 solve_scattering, transmission_sweep)
 
 PHYS = PhysicsParams()
 GEOM = CylinderGeometry(radius=1.0, length=1.0)
@@ -27,6 +27,35 @@ def embedded(alpha=0.0, l=0, geom=GEOM):
 
 def free(alpha=0.0, l=0, geom=GEOM):
     return ScatteringScenario.free(geom, alpha, l, PHYS)
+
+
+def exact_section(energy: float, scenario: ScatteringScenario, dps=320):
+    """(T, R) of the untwisted section from an LU solve of the scaled 4x4
+    matching system at ``dps`` digits.
+
+    V*, the outside threshold and hbar^2/2m enter as the floats the closed
+    form reads, so both solve the same problem however close E is to V*.
+    """
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(scenario.phys.hbar2_over_2m)
+        energy = mpmath.mpf(energy)
+        rho = mpmath.sqrt(mpmath.mpc(
+            (mpmath.mpf(scenario.inside_threshold) - energy) / t))
+        ik = 1j * mpmath.sqrt(
+            (energy - mpmath.mpf(scenario.outside_threshold)) / t)
+        e = mpmath.exp(-rho * mpmath.mpf(scenario.geom.length))
+        # unknowns (r, A, B~, t~) of U_II = A e^{-rho z} + B~ e^{rho (z-L)}
+        matrix = mpmath.matrix([[-1, 1, e, 0], [ik, -rho, rho * e, 0],
+                                [0, e, 1, -1], [0, -rho * e, rho, -ik]])
+        x = mpmath.lu_solve(matrix, mpmath.matrix([1, ik, 0, 0]))
+        return float(abs(x[3])**2), float(abs(x[0])**2)
+
+
+def assert_exact_row(sweep, row, scenario):
+    np.testing.assert_allclose(
+        (sweep.transmission[row], sweep.reflection[row]),
+        exact_section(float(sweep.energy[row]), scenario),
+        rtol=1e-12, atol=1e-15)
 
 
 def test_region_roots_propagating():
@@ -63,9 +92,16 @@ def test_region_roots_alpha_cancellation():
 
 
 def test_region_roots_degenerate_at_threshold():
+    # the two roots coalesce at V*; one float above it the embedded section
+    # is an ok row, exactly transparent
     scenario = embedded(l=1)
-    with pytest.raises(ThresholdDegeneracy):
-        region_roots(scenario.inside_threshold, scenario)
+    thr = scenario.inside_threshold
+    assert region_roots(thr, scenario) == (0, 0)
+    energy = np.nextafter(thr, np.inf)
+    sweep = transmission_sweep(scenario, np.array([thr, energy]))
+    assert sweep.flag.tolist() == [FLAG_SUB_THRESHOLD, FLAG_OK]
+    assert_exact_row(sweep, 1, scenario)
+    assert sweep.reflection[1] == 0.0
 
 
 def test_region_roots_evanescent_below_threshold():
@@ -79,19 +115,22 @@ def test_region_roots_evanescent_below_threshold():
 
 def test_threshold_window_scales_with_hbar_squared_over_m():
     # hbar = 1e10, R = 1e10: V* = 0.375 and hbar^2/2m = 5e19, so 1e-6 above
-    # V* the roots have coalesced to |r| ~ 1.4e-13; region_roots refuses the
-    # point and the sweep flags it degenerate instead of aborting
+    # V* the roots have coalesced to |r| ~ 1.4e-13; the closed form solves
+    # the point in any units, and the section is all but transparent
     phys = PhysicsParams(hbar=1e10, mass=1.0)
     scenario = ScatteringScenario.free(CylinderGeometry(1e10, 1.0), 0.0, 1,
                                        phys)
     energy = scenario.inside_threshold + 1e-6
-    with pytest.raises(ThresholdDegeneracy):
-        region_roots(energy, scenario)
-    with pytest.raises(ThresholdDegeneracy):
-        solve_scattering(energy, scenario)
+    r1, r2 = region_roots(energy, scenario)
+    assert r1 == -r2 and abs(r2) == pytest.approx(1.4142e-13, rel=1e-4)
     sweep = transmission_sweep(scenario, np.array([energy, 2.0 * energy]))
-    assert sweep.flag.tolist() == [FLAG_DEGENERATE, FLAG_DEGENERATE]
-    assert np.all(np.isnan(sweep.transmission))
+    assert sweep.flag.tolist() == [FLAG_OK, FLAG_OK]
+    for row in range(2):
+        assert_exact_row(sweep, row, scenario)
+    assert sweep.reflection[0] == pytest.approx(1.874995e-21, rel=1e-6)
+    sol = solve_scattering(energy, scenario)
+    assert (sol.transmission, sol.reflection) == (sweep.transmission[0],
+                                                  sweep.reflection[0])
 
 
 def test_outside_wavevector_embedded():
@@ -262,9 +301,15 @@ def current_matched_at_interfaces(twist):
 
 
 def test_solve_scattering_refuses_threshold_window():
+    # 1e-10 above V* is solved, not refused: both terms of D scale with the
+    # coalescing root, so nothing cancels
     scenario = free(alpha=0.2, l=1)
-    with pytest.raises(ThresholdDegeneracy):
-        solve_scattering(scenario.inside_threshold + 1e-10, scenario)
+    energy = scenario.inside_threshold + 1e-10
+    sol = solve_scattering(energy, scenario)
+    np.testing.assert_allclose((sol.transmission, sol.reflection),
+                               exact_section(energy, scenario),
+                               rtol=1e-12, atol=1e-15)
+    assert abs(sol.transmission + sol.reflection - 1.0) <= 1e-15
 
 
 def test_solve_scattering_refuses_closed_channel():
@@ -553,6 +598,61 @@ def test_extreme_regimes_stay_unitary(kind, radius, length, l):
     assert np.any(ok)
     assert np.all(np.abs(sweep.transmission[ok] + sweep.reflection[ok] - 1.0)
                   <= 1e-12)
+
+
+@st.composite
+def extreme_cases(draw):
+    """Both scenarios, |l| <= 3, R and L log-uniform over 1e+-150. The
+    energy lies log-uniform 1e+-150 above the outside threshold, or for a
+    third of the draws 1e-15 to 1e-6 of |V*| from V* on either side."""
+    kind = draw(st.sampled_from((embedded, free)))
+    geom = CylinderGeometry(10.0**draw(st.floats(-150.0, 150.0)),
+                            10.0**draw(st.floats(-150.0, 150.0)))
+    scenario = kind(l=draw(st.integers(-3, 3)), geom=geom)
+    v_star = scenario.inside_threshold
+    if draw(st.integers(0, 2)) == 0:
+        energy = v_star + (draw(st.sampled_from((-1.0, 1.0))) * abs(v_star)
+                           * 10.0**draw(st.floats(-15.0, -6.0)))
+    else:
+        energy = (scenario.outside_threshold
+                  + 10.0**draw(st.floats(-150.0, 150.0)))
+    return scenario, energy
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(extreme_cases())
+def test_closed_form_matches_mpmath_at_extreme_scales(case):
+    # the raw solve, not a flag: finite and within 1e-12 of a 320-digit
+    # solve wherever the inside phase keeps its digits, V* +- 1e-15 included
+    scenario, energy = case
+    root = abs(complex(region_roots(energy, scenario)[1]))
+    rho_l = root * scenario.geom.length
+    assume(energy > scenario.outside_threshold
+           and energy != scenario.inside_threshold and rho_l < 1e6)
+    r_amp, _, _, t_amp = _solve_batch(np.array([energy]), scenario)
+    trans, refl = abs(t_amp[0])**2, abs(r_amp[0])**2
+    t_exact, r_exact = exact_section(energy, scenario)
+    assert np.isfinite(trans) and np.isfinite(refl)
+    assert abs(trans - t_exact) <= 1e-12
+    assert abs(refl - r_exact) <= 1e-12
+    if scenario.kind == EMBEDDED_CYLINDER:
+        assert refl == 0.0
+
+
+def test_unresolved_inside_phase_is_degenerate():
+    # |Im rho| L ~ 1.5e118 rad: one ulp of it is many turns, so the free
+    # section's T keeps no digit; the embedded section, which matches its
+    # outside, reads no phase and stays transparent
+    geom = CylinderGeometry(1.02, 2.6e118)
+    energies = np.array([1.0, 2.0])
+    sweep = transmission_sweep(free(l=1, geom=geom), energies)
+    assert np.all(sweep.flag == FLAG_DEGENERATE)
+    with pytest.raises(ThresholdDegeneracy, match="2\\^52"):
+        solve_scattering(1.0, free(l=1, geom=geom))
+    sweep = transmission_sweep(embedded(l=1, geom=geom), energies)
+    assert np.all(sweep.flag == FLAG_OK)
+    assert np.all(sweep.reflection == 0.0)
+    assert np.all(np.abs(sweep.transmission - 1.0) <= 1e-15)
 
 
 def literal_ode_probabilities(energy: float, scenario: ScatteringScenario):
