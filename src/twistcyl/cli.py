@@ -24,6 +24,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -45,17 +46,9 @@ _UNIT_TABLES = {
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    scenario: str  # "embedded" | "free"
-    vary: str      # "alpha" | "l" | "radius"
-    values: tuple
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Fully validated run description; built by ``parse_config``."""
 
-    command: str | None
     physics: PhysicsParams
     geometry: CylinderGeometry | None
     twist: TwistProfile
@@ -63,7 +56,7 @@ class RunConfig:
     l_max: int
     scattering_l: int
     energy_grid: tuple[float, float, int] | None
-    sweep: SweepSpec | None
+    sweep: tuple[str, str, tuple] | None  # scenario, vary, values
     wavefunction: tuple[int, int, int, int]  # n, l, n_phi, n_z
     output_path: str | None
     output_format: str
@@ -175,15 +168,7 @@ def _emit(config: RunConfig, schema: str, header, columns) -> None:
     _write(config, text)
 
 
-def _require_geometry(config: RunConfig) -> CylinderGeometry:
-    if config.geometry is None:
-        raise ConfigError("[geometry] with radius and length is required")
-    return config.geometry
-
-
-def _require_grid(config: RunConfig) -> np.ndarray:
-    if config.energy_grid is None:
-        raise ConfigError("[energy_grid] with min, max, points is required")
+def _energies(config: RunConfig) -> np.ndarray:
     e_min, e_max, points = config.energy_grid
     grid = np.linspace(e_min, e_max, points)
     if not np.all(np.diff(grid) > 0.0):
@@ -197,7 +182,7 @@ def _scenario(config: RunConfig, kind: str, vary: str | None = None,
     """The scenario of ``config`` that ``ScatteringScenario.<kind>`` makes
     (kind embedded or free), with the parameter a sweep may ``vary`` (alpha,
     l or radius) set to ``value``; an alpha value is a constant twist."""
-    geom = _require_geometry(config)
+    geom = config.geometry
     setup = {"alpha": config.twist, "l": config.scattering_l,
              "radius": geom.radius}
     if vary is not None:
@@ -207,55 +192,48 @@ def _scenario(config: RunConfig, kind: str, vary: str | None = None,
         setup["l"], config.physics)
 
 
-def _run_spectrum(config: RunConfig) -> None:
-    geom = _require_geometry(config)
-    modes, energies = zip(*list_bound_states(geom, config.physics,
+def _spectrum(config: RunConfig):
+    modes, energies = zip(*list_bound_states(config.geometry, config.physics,
                                              config.n_max, config.l_max))
-    _emit(config, "twistcyl-spectrum-v1", ("n", "l", "energy"),
-          ([mode.n for mode in modes], [mode.l for mode in modes], energies))
+    return (("n", "l", "energy"),
+            ([mode.n for mode in modes], [mode.l for mode in modes], energies))
 
 
-def _run_wavefunction(config: RunConfig) -> None:
-    geom = _require_geometry(config)
+def _wavefunction(config: RunConfig):
     n, l, n_phi, n_z = config.wavefunction
-    sample = bound_wavefunction(ModeNumbers(l=l, n=n), geom, config.twist,
-                                config.physics, (n_phi, n_z))
+    sample = bound_wavefunction(ModeNumbers(l=l, n=n), config.geometry,
+                                config.twist, config.physics, (n_phi, n_z))
     # z-major rows: phi varies fastest, so the (phi, z) grids go transposed
     values = sample.values.T.ravel()
-    _emit(config, "twistcyl-wavefunction-v1",
-          ("phi", "z", "re_psi", "im_psi", "density"),
-          (np.tile(sample.phi, sample.z.size),
-           np.repeat(sample.z, sample.phi.size), values.real, values.imag,
-           sample.density().T.ravel()))
+    return (("phi", "z", "re_psi", "im_psi", "density"),
+            (np.tile(sample.phi, sample.z.size),
+             np.repeat(sample.z, sample.phi.size), values.real, values.imag,
+             sample.density().T.ravel()))
 
 
-def _run_scatter(config: RunConfig) -> None:
-    scenario = _scenario(config, config.command.removeprefix("scatter-"))
-    sweep = transmission_sweep(scenario, _require_grid(config))
-    _emit(config, "twistcyl-scatter-v1", ("energy", "T", "R", "flag"),
-          (sweep.energy, sweep.transmission, sweep.reflection, sweep.flag))
+def _scatter(kind: str, config: RunConfig):
+    sweep = transmission_sweep(_scenario(config, kind), _energies(config))
+    return (("energy", "T", "R", "flag"),
+            (sweep.energy, sweep.transmission, sweep.reflection, sweep.flag))
 
 
-def _run_sweep(config: RunConfig) -> None:
-    spec = config.sweep
-    if spec is None:
-        raise ConfigError("[sweep] with scenario, vary, values is required")
-    scenarios = [_scenario(config, spec.scenario, spec.vary, value)
-                 for value in spec.values]
-    energies = _require_grid(config)
+def _sweep(config: RunConfig):
+    kind, vary, values = config.sweep
+    scenarios = [_scenario(config, kind, vary, value) for value in values]
+    energies = _energies(config)
     header = ["energy"]
     columns = [energies]
     # every field transmission_sweep reads; the twist, a gauge phase, is not
     # one, so an alpha sweep solves once whatever its length
     solved = {}
-    for tag, scenario in zip(_sweep_tags(spec.vary, spec.values), scenarios):
+    for tag, scenario in zip(_sweep_tags(vary, values), scenarios):
         header += [f"T{tag}", f"R{tag}", f"flag{tag}"]
         key = (scenario.kind, scenario.geom, scenario.mode.l, scenario.phys)
         if key not in solved:
             solved[key] = transmission_sweep(scenario, energies)
         sweep = solved[key]
         columns += [sweep.transmission, sweep.reflection, sweep.flag]
-    _emit(config, "twistcyl-sweep-v1", tuple(header), columns)
+    return header, columns
 
 
 def run_validation():
@@ -265,7 +243,7 @@ def run_validation():
     return run_checks()
 
 
-def _run_validate(config: RunConfig) -> int:
+def _validate(config: RunConfig) -> int:
     if config.output_format != "csv":
         raise ConfigError("validate writes a text table; format = "
                           f"{config.output_format} is not supported")
@@ -277,17 +255,24 @@ def _run_validate(config: RunConfig) -> int:
     return 0 if ok else 3
 
 
-# command name -> handler; a handler returns its exit code, or None for 0.
-# Handlers reach transmission_sweep, bound_wavefunction and run_validation
-# through this module's names, so a wrapper set on the module (as
-# bench/launch.py sets one) sees every call.
+# command name -> (artifact schema, sections it needs, handler). ``run``
+# refuses a config without a needed section, checked in the listed order.
+# An artifact handler returns (header, columns), which ``run`` writes; the
+# handler of a command without a schema writes its own output and returns
+# the exit code. Handlers reach transmission_sweep, bound_wavefunction and
+# run_validation through this module's names, so a wrapper set on the
+# module (as bench/launch.py sets one) sees every call.
 _COMMANDS = {
-    "spectrum": _run_spectrum,
-    "wavefunction": _run_wavefunction,
-    "scatter-embedded": _run_scatter,
-    "scatter-free": _run_scatter,
-    "sweep": _run_sweep,
-    "validate": _run_validate,
+    "spectrum": ("twistcyl-spectrum-v1", ("geometry",), _spectrum),
+    "wavefunction": ("twistcyl-wavefunction-v1", ("geometry",),
+                     _wavefunction),
+    "scatter-embedded": ("twistcyl-scatter-v1", ("geometry", "energy_grid"),
+                         partial(_scatter, "embedded")),
+    "scatter-free": ("twistcyl-scatter-v1", ("geometry", "energy_grid"),
+                     partial(_scatter, "free")),
+    "sweep": ("twistcyl-sweep-v1", ("sweep", "geometry", "energy_grid"),
+              _sweep),
+    "validate": (None, (), _validate),
 }
 
 # a sweep's vary word -> the config key it varies
@@ -494,15 +479,14 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"sweep values {first[tag]!r} and "
                                   f"{token!r} both print as {tag}", lineno)
             first[tag] = token
-        sweep = SweepSpec(scenario=value["sweep", "scenario"], vary=vary,
-                          values=values)
+        sweep = (value["sweep", "scenario"], vary, values)
 
     echo = {}
     for (section, key), (raw, _) in sorted(entries.items()):
         echo.setdefault(section, {})[key] = raw
 
     return RunConfig(
-        command=None, physics=physics, geometry=geometry,
+        physics=physics, geometry=geometry,
         twist=twist, n_max=value["modes", "n_max"],
         l_max=value["modes", "l_max"], scattering_l=value["scattering", "l"],
         energy_grid=energy_grid, sweep=sweep,
@@ -514,17 +498,19 @@ def parse_config(text: str) -> RunConfig:
         echo=echo)
 
 
-def default_config(command: str) -> RunConfig:
-    """Config with all defaults, for commands that need no document."""
-    return replace(parse_config(""), command=command)
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit code."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise ConfigError(f"unknown command {config.command!r}")
-    return handler(config) or 0
+def run(command: str, config: RunConfig) -> int:
+    """Run ``command`` on a validated config; returns the process exit code."""
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    schema, sections, handler = _COMMANDS[command]
+    for section in sections:  # RunConfig names each field after its section
+        if getattr(config, section) is None:
+            keys = ", ".join(key for sec, key in _SCHEMA if sec == section)
+            raise ConfigError(f"[{section}] with {keys} is required")
+    if schema is None:
+        return handler(config)
+    _emit(config, schema, *handler(config))
+    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -561,14 +547,12 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config: {exc}") from None
             config = parse_config(text)
         elif args.command == "validate":
-            config = default_config("validate")
+            config = parse_config("")
         else:
             raise ConfigError("--config is required")
-        config = replace(
-            config, command=args.command,
-            output_path=args.out or config.output_path,
-            output_format=args.format or config.output_format)
-        return run(config)
+        return run(args.command, replace(
+            config, output_path=args.out or config.output_path,
+            output_format=args.format or config.output_format))
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1

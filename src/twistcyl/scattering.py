@@ -185,7 +185,9 @@ def _solve_batch(energies: np.ndarray, scenario: ScatteringScenario):
         rho = np.sqrt((below / scale).astype(complex))
         ik = 1j * np.sqrt(above / scale)
         plus = (below + above) / scale  # rho^2 + k^2
-        rho_l = region_roots(energies, scenario)[1] * length
+        # the unscaled r2 = sqrt((V* - E)/t) of region_roots, from below
+        rho_l = np.sqrt((below / scenario.phys.hbar2_over_2m)
+                        .astype(complex)) * length
         e = np.exp(-rho_l)
         # a sum, not 2.0 * rho_l: a complex product turns inf * 0 into NaN
         m = np.expm1(-(rho_l + rho_l))

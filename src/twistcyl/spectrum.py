@@ -91,14 +91,6 @@ def twist_phase(twist: TwistProfile, l: int, z):
     return phase
 
 
-def _sinpi(x: np.ndarray) -> np.ndarray:
-    # sin(pi x) with exact zeros at integer x; np.sin(n*pi) only rounds to ~1e-16.
-    x = np.asarray(x, dtype=float)
-    k = np.floor(x)
-    s = np.sin(np.pi * (x - k))
-    return np.where(k.astype(np.int64) % 2 == 0, s, -s)
-
-
 @dataclass(frozen=True)
 class WavefunctionSample:
     """Mode wavefunction on a (phi, z) tensor grid.
@@ -136,8 +128,9 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
     finite, as when R L underflows.
 
     On the grid z_j = j L / m, m = n_z - 1, the sine is sin(n pi j / m) with
-    n j reduced modulo 2 m in integers, so a large n loses no digit to a
-    float product n z / L.
+    n j reduced modulo 2 m and then folded to an argument of at most pi / 2
+    in integers, so a large n loses no digit to a float product n z / L and
+    a cell next to a node keeps its relative digits.
     """
     n_phi, n_z = grid
     if n_phi < 2 or n_z < 2:
@@ -150,11 +143,14 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
     z = np.linspace(0.0, geom.length, n_z)
     phase = twist_phase(twist, mode.l, z)
     # (n mod 2m) j < 2 m^2 stays exact in int64 for any grid that fits in memory
-    period = 2 * (n_z - 1)
-    turns = (int(mode.n) % period * np.arange(n_z)) % period
+    m = n_z - 1
+    turns = (int(mode.n) % (2 * m) * np.arange(n_z)) % (2 * m)
+    # sin(pi k / m) = +-sin(pi r / m), r = min(k mod m, m - k mod m) <= m / 2:
+    # the folded argument is at most pi / 2 and exactly 0 at a node
+    folded = np.minimum(turns % m, m - turns % m)
+    sine = np.where(turns < m, 1.0, -1.0) * np.sin(np.pi * folded / m)
     with np.errstate(all="ignore"):  # R L may underflow: refused below
-        amp = (_sinpi(turns / (n_z - 1))
-               / np.sqrt(np.pi * geom.radius * geom.length))
+        amp = sine / np.sqrt(np.pi * geom.radius * geom.length)
         longitudinal = amp * np.exp(1j * phase)
         values = np.exp(1j * mode.l * phi)[:, None] * longitudinal[None, :]
         sample = WavefunctionSample(phi=phi, z=z, values=values,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistcyl
-from twistcyl.cli import _emit, default_config, main, parse_config
+from twistcyl.cli import _COMMANDS, _emit, main, parse_config
 from twistcyl.errors import ConfigError
 from twistcyl.geometry import CylinderGeometry, PhysicsParams
 from twistcyl.scattering import ScatteringScenario
@@ -52,7 +52,6 @@ def test_parse_minimal_applies_defaults():
     assert config.wavefunction == (1, 0, 256, 256)
     assert config.scattering_l == 0
     assert config.energy_grid is None and config.sweep is None
-    assert config.command is None
     assert config.output_path is None
 
 
@@ -325,11 +324,6 @@ def test_parse_rejects_hbar_override_in_preset():
         parse_config(text)
 
 
-def test_default_config_round_trip():
-    config = default_config("validate")
-    assert config.command == "validate"
-
-
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -455,6 +449,38 @@ values = {values}
 def test_sweep_requires_section(tmp_path):
     cfg = write(tmp_path, "run.ini", SCATTER)
     assert main(["sweep", "--config", cfg]) == 1
+    # the refusal order of the sections a sweep needs
+    assert _COMMANDS["sweep"][1] == ("sweep", "geometry", "energy_grid")
+
+
+# each section a command may need: a complete block, and the keys its
+# refusal names
+_SECTIONS = {
+    "geometry": (MINIMAL, "radius, length"),
+    "energy_grid": ("[energy_grid]\nmin = 0.01\nmax = 5.0\npoints = 20\n",
+                    "min, max, points"),
+    "sweep": ("[sweep]\nscenario = free\nvary = l\nvalues = 0, 1\n",
+              "scenario, vary, values"),
+}
+
+
+@pytest.mark.parametrize("command, section", [
+    (command, section) for command, (_, sections, _) in _COMMANDS.items()
+    for section in sections])
+def test_missing_section_is_refused_by_the_table(tmp_path, capsys, command,
+                                                 section):
+    # without the section alone, or without it and every later one, the
+    # refusal names it: each needed section is checked, in the table's order
+    sections = _COMMANDS[command][1]
+    index = sections.index(section)
+    for kept in (sections[:index] + sections[index + 1:], sections[:index]):
+        cfg = write(tmp_path, "run.ini",
+                    "\n".join(_SECTIONS[name][0] for name in kept))
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: config: [{section}] with "
+                                f"{_SECTIONS[section][1]} is required\n")
 
 
 def test_sweep_over_l_with_threads(tmp_path):
@@ -659,6 +685,16 @@ def test_readme_python_examples_run():
         # padded so that a traceback cites the README's own line numbers
         pad = "\n" * text.count("\n", 0, block.start(1))
         exec(compile(pad + block.group(1), README, "exec"), {})
+
+
+def test_readme_lists_every_command_and_schema():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    listed = text.partition("\nCommands: ")[2].partition(".")[0]
+    assert re.findall(r"`([^`]+)`", listed) == list(_COMMANDS)
+    table = re.search(r"Schemas:\n\n((?:\|.*\n)+)", text).group(1)
+    for schema, _, _ in _COMMANDS.values():
+        assert schema is None or f"`{schema}`" in table, schema
 
 
 def test_missing_config_is_config_error():
@@ -1006,7 +1042,7 @@ def test_emit_matches_per_cell_reference(tmp_path_factory, table):
               for kind, column in zip(kinds, columns)]
     rows = list(zip(*columns))
     out = tmp_path_factory.mktemp("emit") / "artifact"
-    base = replace(default_config("spectrum"), output_path=str(out))
+    base = replace(parse_config(""), output_path=str(out))
     _emit(replace(base, output_format="csv"), "test-v1", header, arrays)
     assert out.read_bytes() == _ref_render_csv(
         "test-v1", base.config_sha256, header, rows).encode("utf-8")
@@ -1043,7 +1079,7 @@ def test_emit_json_matches_reference_for_any_labels(tmp_path_factory, table):
     arrays = [np.array(column, dtype=_CELL_DTYPES[kind])
               for kind, column in zip(kinds, columns)]
     out = tmp_path_factory.mktemp("emit") / "artifact.json"
-    config = replace(default_config("spectrum"), output_path=str(out),
+    config = replace(parse_config(""), output_path=str(out),
                      output_format="json")
     _emit(config, "test-v1", header, arrays)
     assert out.read_bytes() == _ref_render_json(
@@ -1154,5 +1190,5 @@ def test_parse_config_returns_or_raises_config_error(text):
     if config.energy_grid is not None:
         numbers += config.energy_grid[:2]
     if config.sweep is not None:
-        numbers += config.sweep.values
+        numbers += config.sweep[2]
     assert np.all(np.isfinite(numbers))

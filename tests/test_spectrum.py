@@ -154,6 +154,31 @@ def test_wavefunction_large_n_matches_mpmath(n):
     assert np.all(sample.values[0, nodes] == 0.0)
 
 
+@pytest.mark.parametrize("n, n_z", [(1, 256), (3, 512), (7, 1000),
+                                    (2, 3000), (10**6 + 1, 97),
+                                    (2**51 + 3, 1001)])
+def test_wavefunction_sine_relative_digits_match_mpmath(n, n_z):
+    # the sine is folded in integers to an argument of at most pi / 2, so a
+    # cell next to a node keeps its relative digits; the unfolded
+    # sin(pi k / m), k / m in [0, 2), was off by 7e-14 relative at n = 3,
+    # n_z = 512 and by 2.4e-13 at n = 2, n_z = 3000
+    m = n_z - 1
+    sample = bound_wavefunction(ModeNumbers(l=0, n=n),
+                                CylinderGeometry(radius=1.0, length=2.0),
+                                TwistProfile.constant(0.0), PHYS, (2, n_z))
+    turns = [n * j % (2 * m) for j in range(n_z)]
+    with mpmath.workdps(50):
+        norm = mpmath.sqrt(mpmath.pi * 2)
+        exact = np.array([float(mpmath.sin(mpmath.pi * k / m) / norm)
+                          for k in turns])
+    got = sample.values[0].real
+    nodes = np.array([k % m == 0 for k in turns])
+    assert np.all(got[nodes] == 0.0)
+    near = np.array([k % m in (1, m - 1) for k in turns])
+    assert np.any(near)
+    assert np.max(np.abs(got[~nodes] / exact[~nodes] - 1.0)) <= 1e-15
+
+
 def test_wavefunction_l0_real_and_peaked_at_center():
     sample = bound_wavefunction(ModeNumbers(l=0, n=1), GEOM,
                                 TwistProfile.constant(0.9), PHYS, (16, 65))
