@@ -97,22 +97,21 @@ def _cells_once(columns, conversion, cells) -> list:
     """Per column, its ``%`` conversion in the row template and its cells.
 
     A column that occurs once gets ``conversion(column)`` and
-    ``cells(column)``. A column whose dtype and bytes repeat (a sweep's
-    identical T, R and flag groups) is formatted into strings once, and
-    every occurrence splices that one list in as ``%s``. Bytes, not values,
-    make the key, so 0.0 and -0.0, or two NaNs, are never merged.
+    ``cells(column)``. An array that occurs more than once (the T, R and
+    flag arrays that the groups of an alpha sweep share) is formatted into
+    strings once, and every occurrence splices that one list in as ``%s``.
     """
-    keys = [(column.dtype.str, column.tobytes()) for column in columns]
-    count = Counter(keys)
+    count = Counter(map(id, columns))
     text = {}
     out = []
-    for column, key in zip(columns, keys):
-        if count[key] == 1:
+    for column in columns:
+        if count[id(column)] == 1:
             out.append((conversion(column), cells(column)))
             continue
-        if key not in text:
-            text[key] = list(map(conversion(column).__mod__, cells(column)))
-        out.append(("%s", text[key]))
+        if id(column) not in text:
+            text[id(column)] = list(map(conversion(column).__mod__,
+                                        cells(column)))
+        out.append(("%s", text[id(column)]))
     return out
 
 
@@ -177,21 +176,6 @@ def _energies(config: RunConfig) -> np.ndarray:
     return grid
 
 
-def _scenario(config: RunConfig, kind: str, vary: str | None = None,
-              value=None) -> ScatteringScenario:
-    """The scenario of ``config`` that ``ScatteringScenario.<kind>`` makes
-    (kind embedded or free), with the parameter a sweep may ``vary`` (alpha,
-    l or radius) set to ``value``; an alpha value is a constant twist."""
-    geom = config.geometry
-    setup = {"alpha": config.twist, "l": config.scattering_l,
-             "radius": geom.radius}
-    if vary is not None:
-        setup[vary] = value
-    return getattr(ScatteringScenario, kind)(
-        CylinderGeometry(setup["radius"], geom.length), setup["alpha"],
-        setup["l"], config.physics)
-
-
 def _spectrum(config: RunConfig):
     modes, energies = zip(*list_bound_states(config.geometry, config.physics,
                                              config.n_max, config.l_max))
@@ -211,27 +195,33 @@ def _wavefunction(config: RunConfig):
              sample.density().T.ravel()))
 
 
-def _scatter(kind: str, config: RunConfig):
-    sweep = transmission_sweep(_scenario(config, kind), _energies(config))
-    return (("energy", "T", "R", "flag"),
-            (sweep.energy, sweep.transmission, sweep.reflection, sweep.flag))
-
-
-def _sweep(config: RunConfig):
-    kind, vary, values = config.sweep
-    scenarios = [_scenario(config, kind, vary, value) for value in values]
-    energies = _energies(config)
+def _sweep(config: RunConfig, kind: str | None = None):
+    """The energy grid, then T, R and flag of ``ScatteringScenario.<kind>``
+    at each swept value (an alpha value is a constant twist), tagged
+    ``[vary=value]``. Given ``kind``, as ``scatter-<kind>``, the config's own
+    scenario is the one group, untagged."""
+    if kind is None:
+        kind, vary, values = config.sweep
+        tags = _sweep_tags(vary, values)
+    else:  # the config's own l is the one value
+        vary, values, tags = "l", (config.scattering_l,), ("",)
+    geom, energies = config.geometry, _energies(config)
     header = ["energy"]
     columns = [energies]
     # every field transmission_sweep reads; the twist, a gauge phase, is not
     # one, so an alpha sweep solves once whatever its length
     solved = {}
-    for tag, scenario in zip(_sweep_tags(vary, values), scenarios):
-        header += [f"T{tag}", f"R{tag}", f"flag{tag}"]
+    for tag, value in zip(tags, values):
+        setup = {"alpha": config.twist, "l": config.scattering_l,
+                 "radius": geom.radius, vary: value}
+        scenario = getattr(ScatteringScenario, kind)(
+            CylinderGeometry(setup["radius"], geom.length), setup["alpha"],
+            setup["l"], config.physics)
         key = (scenario.kind, scenario.geom, scenario.mode.l, scenario.phys)
         if key not in solved:
             solved[key] = transmission_sweep(scenario, energies)
         sweep = solved[key]
+        header += [f"T{tag}", f"R{tag}", f"flag{tag}"]
         columns += [sweep.transmission, sweep.reflection, sweep.flag]
     return header, columns
 
@@ -267,9 +257,9 @@ _COMMANDS = {
     "wavefunction": ("twistcyl-wavefunction-v1", ("geometry",),
                      _wavefunction),
     "scatter-embedded": ("twistcyl-scatter-v1", ("geometry", "energy_grid"),
-                         partial(_scatter, "embedded")),
+                         partial(_sweep, kind="embedded")),
     "scatter-free": ("twistcyl-scatter-v1", ("geometry", "energy_grid"),
-                     partial(_scatter, "free")),
+                     partial(_sweep, kind="free")),
     "sweep": ("twistcyl-sweep-v1", ("sweep", "geometry", "energy_grid"),
               _sweep),
     "validate": (None, (), _validate),

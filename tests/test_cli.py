@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
@@ -273,8 +275,23 @@ def test_unit_factor_overflow_is_config_error(tmp_path, capsys):
     ("[physics]\nmass = 0\n",
      "line 2: invalid [physics]: mass must be positive"),
     ("[physics]\nunit_system = cgs\n", "line 2: unknown unit_system 'cgs'"),
+    ("[physics]\nunit_system = electron_nm_eV\n[geometry]\n"
+     "radius = 2 furlong\nlength = 1 nm\n",
+     "line 4: unknown length unit 'furlong'"),
+    ("[twist]\nalpha0 = 0.3\n",
+     "line 2: 'alpha0' belongs to the linear-ramp profile"),
+    ("[twist]\nprofile = linear-ramp\n",
+     "missing required key 'alpha0' in [twist]"),
+    ("[twist]\nprofile = linear-ramp\nalpha0 = 0.3\nalpha = 0.5\n",
+     "line 4: 'alpha' belongs to the constant profile"),
+    ("[sweep]\nscenario = free\nvary = l\nvalues = 1,,2\n",
+     "line 4: empty entry in sweep values"),
+    ("[sweep]\nscenario = free\nvary = radius\nvalues = 1, -2\n",
+     "line 4: radius values must be positive"),
 ], ids=["n_max", "n_max-alone", "l_max", "wf-n", "n_phi", "min-max",
-        "points", "length", "hbar", "mass", "unit_system"])
+        "points", "length", "hbar", "mass", "unit_system", "length-unit",
+        "alpha0-constant", "ramp-alpha0", "alpha-ramp", "empty-value",
+        "radius-values"])
 def test_bound_error_cites_its_own_line(text, message):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
@@ -702,8 +719,13 @@ def test_missing_config_is_config_error():
     assert main(["spectrum", "--config", "/nonexistent/path.ini"]) == 1
 
 
-def test_unknown_command_is_config_error():
+def test_unknown_command_is_config_error(capsys):
     assert main(["transmogrify"]) == 1
+    capsys.readouterr()
+    assert main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config: no command given\n"
 
 
 def test_command_from_run_section(tmp_path, capsys):
@@ -1003,15 +1025,19 @@ _OTHER_NANS = [-float("nan"), np.frombuffer(
 
 def _with_copies(draw, kinds, columns):
     """``kinds`` and ``columns`` with up to three copies of earlier columns
-    inserted after them; a float copy may have the sign of its zeros swapped
+    inserted after them. A copy may be the source list itself, which
+    ``_arrays`` turns into the source's array, as the groups of an alpha
+    sweep share theirs; a float copy may have the sign of its zeros swapped
     or one cell made a NaN of other bits, so that it prints alike or differs
     from its source in a way its bytes show."""
     kinds, columns = list(kinds), list(columns)
     for _ in range(draw(st.integers(0, 3))):
         source = draw(st.integers(0, len(columns) - 1))
         copy = list(columns[source])
-        change = draw(st.sampled_from(["none", "zero-sign", "nan"]))
-        if kinds[source] == "f" and copy and change == "zero-sign":
+        change = draw(st.sampled_from(["none", "zero-sign", "nan", "shared"]))
+        if change == "shared":
+            copy = columns[source]
+        elif kinds[source] == "f" and copy and change == "zero-sign":
             copy = [-v if v == 0.0 else v for v in copy]
         elif kinds[source] == "f" and copy and change == "nan":
             copy[draw(st.integers(0, len(copy) - 1))] = draw(
@@ -1020,6 +1046,16 @@ def _with_copies(draw, kinds, columns):
         kinds.insert(at, kinds[source])
         columns.insert(at, copy)
     return kinds, columns
+
+
+def _arrays(kinds, columns):
+    """One array per column; a column that is the same list as an earlier
+    one gets that column's array."""
+    made = {}
+    for kind, column in zip(kinds, columns):
+        if id(column) not in made:
+            made[id(column)] = np.array(column, dtype=_CELL_DTYPES[kind])
+    return [made[id(column)] for column in columns]
 
 
 @st.composite
@@ -1038,8 +1074,7 @@ def tables(draw, copies=True):
 def test_emit_matches_per_cell_reference(tmp_path_factory, table):
     kinds, columns = table
     header = [f"c{i}" for i in range(len(columns))]
-    arrays = [np.array(column, dtype=_CELL_DTYPES[kind])
-              for kind, column in zip(kinds, columns)]
+    arrays = _arrays(kinds, columns)
     rows = list(zip(*columns))
     out = tmp_path_factory.mktemp("emit") / "artifact"
     base = replace(parse_config(""), output_path=str(out))
@@ -1076,8 +1111,7 @@ def labelled_tables(draw):
 @given(labelled_tables())
 def test_emit_json_matches_reference_for_any_labels(tmp_path_factory, table):
     kinds, header, columns = table
-    arrays = [np.array(column, dtype=_CELL_DTYPES[kind])
-              for kind, column in zip(kinds, columns)]
+    arrays = _arrays(kinds, columns)
     out = tmp_path_factory.mktemp("emit") / "artifact.json"
     config = replace(parse_config(""), output_path=str(out),
                      output_format="json")
@@ -1192,3 +1226,94 @@ def test_parse_config_returns_or_raises_config_error(text):
     if config.sweep is not None:
         numbers += config.sweep[2]
     assert np.all(np.isfinite(numbers))
+
+
+# log-uniform magnitudes over 1e-300 .. 1e300
+_MAGNITUDES = st.floats(-300.0, 300.0).map(lambda x: 10.0 ** x)
+_ALPHAS = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda x: -x))
+_LS = st.integers(-40, 40)
+_SWEEP_VALUES = {"alpha": _ALPHAS, "l": _LS, "radius": _MAGNITUDES}
+
+
+@st.composite
+def extreme_runs(draw):
+    """A command and a config document with every section it may need:
+    radius, length, twist and energies anywhere in 1e+-300, |l| <= 40, and
+    tiny grids."""
+    command = draw(st.sampled_from(["spectrum", "wavefunction",
+                                    "scatter-embedded", "scatter-free",
+                                    "sweep"]))
+    l = draw(_LS)
+    twist = draw(st.sampled_from(["profile = constant\nalpha",
+                                  "profile = linear-ramp\nalpha0"]))
+    e_min, e_max = sorted(draw(st.lists(_MAGNITUDES, min_size=2,
+                                        max_size=2, unique=True)))
+    vary = draw(st.sampled_from(sorted(_SWEEP_VALUES)))
+    values = draw(st.lists(_SWEEP_VALUES[vary], min_size=1, max_size=3,
+                           unique=True))
+    sweep = f"""
+[sweep]
+scenario = {draw(st.sampled_from(["embedded", "free"]))}
+vary = {vary}
+values = {", ".join(map(repr, values))}
+""" if command == "sweep" else ""
+    return command, f"""\
+[geometry]
+radius = {draw(_MAGNITUDES)!r}
+length = {draw(_MAGNITUDES)!r}
+
+[twist]
+{twist} = {draw(_ALPHAS)!r}
+
+[modes]
+l_max = {abs(l)}
+
+[scattering]
+l = {l}
+
+[energy_grid]
+min = {e_min!r}
+max = {e_max!r}
+points = 7
+
+[wavefunction]
+n = {draw(st.integers(1, 40))}
+l = {l}
+n_phi = 4
+n_z = 9
+""" + sweep
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(extreme_runs())
+def test_every_artifact_command_ends_finite_or_typed(tmp_path_factory, run):
+    # exit 0 with an empty stderr and finite rows whose flags mean what they
+    # say, or exit 1 (config) or 2 (numerics) with one error line
+    command, text = run
+    cfg = tmp_path_factory.mktemp("run") / "run.ini"
+    cfg.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(cfg)])
+    if code:
+        assert code in (1, 2)
+        assert out.getvalue() == ""
+        _single_line(err.getvalue(), "error: ")
+        return
+    assert err.getvalue() == ""
+    rows = [line.split(",") for line in out.getvalue().splitlines()[3:]]
+    assert rows
+    for row in rows:
+        if command in ("spectrum", "wavefunction"):
+            assert np.all(np.isfinite([float(cell) for cell in row])), row
+            continue
+        assert np.isfinite(float(row[0])), row
+        for trans, refl, flag in zip(row[1::3], row[2::3], row[3::3]):
+            if flag == "ok":
+                assert np.isfinite([float(trans), float(refl)]).all(), row
+                assert abs(float(trans) + float(refl) - 1.0) <= 1e-12, row
+            elif flag == "sub_threshold":
+                assert (trans, refl) == ("0", "1"), row
+            else:
+                assert (flag, trans, refl) == ("degenerate", "nan", "nan"), row

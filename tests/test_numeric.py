@@ -242,8 +242,10 @@ def test_fd_unresolved_constant_twist_is_refused():
 # --- ODE transmission oracle -------------------------------------------------
 
 def _random_oracle_cases(seed, count, radius, length, alpha, energy):
-    """Random (scenario, energy) draws, alternating embedded and free, as in
-    the validate check (seed 103) and the agreement test below (seed 32)."""
+    """Random (scenario, energy) draws from ``np.random.default_rng(seed)``,
+    alternating embedded and free. The ranges of seed 103 are those of the
+    validate check, which draws its own cases from ``random.Random(103)``;
+    seed 32 is the agreement test below."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         geom = CylinderGeometry(rng.uniform(*radius), rng.uniform(*length))
