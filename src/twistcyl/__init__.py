@@ -27,8 +27,8 @@ from .errors import (ConfigError, EigensolverFailure, IntegratorFailure,
                      NoPropagatingChannel, SingularMetric, ThresholdDegeneracy,
                      TwistCylError)
 from .geometry import (COVARIANT, CONTRAVARIANT, CurvatureData,
-                       CylinderGeometry, Metric2, PhysicsParams, Strain2,
-                       TwistProfile, da_costa_potential, inverse_metric,
+                       CylinderGeometry, Metric2, PhysicsParams, TwistProfile,
+                       da_costa_potential, inverse_metric,
                        metric_from_embedding_fd, metric_from_strain,
                        strain_from_linear_twist, surface_curvatures,
                        twisted_metric, undeformed_metric)
@@ -43,7 +43,7 @@ __all__ = [
     "COVARIANT", "CONTRAVARIANT", "ConfigError", "CurvatureData",
     "CylinderGeometry", "EigensolverFailure", "IntegratorFailure",
     "Metric2", "ModeNumbers", "NoPropagatingChannel", "PhysicsParams",
-    "ScatteringScenario", "ScatteringSolution", "SingularMetric", "Strain2",
+    "ScatteringScenario", "ScatteringSolution", "SingularMetric",
     "SweepResult", "ThresholdDegeneracy", "TwistCylError", "TwistProfile",
     "WavefunctionSample", "bound_wavefunction", "da_costa_potential",
     "effective_potential", "eigenenergy", "fd_bound_spectrum",

@@ -543,7 +543,7 @@ def main(argv=None) -> int:
         return run(args.command, replace(
             config, output_path=args.out or config.output_path,
             output_format=args.format or config.output_format))
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # a grid too large to allocate
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
     except TwistCylError as exc:

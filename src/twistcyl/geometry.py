@@ -114,21 +114,9 @@ class TwistProfile:
 
 
 @dataclass(frozen=True)
-class Strain2:
-    """Symmetric covariant strain tensor on (phi, z), dimensionless."""
-
-    eps_pp: float
-    eps_pz: float
-    eps_zz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.eps_pp, self.eps_pz],
-                         [self.eps_pz, self.eps_zz]])
-
-
-@dataclass(frozen=True)
 class Metric2:
-    """Symmetric 2x2 tensor on (phi, z) with an explicit variance flag.
+    """Symmetric 2x2 tensor on (phi, z) with an explicit variance flag: the
+    metric, the strain and the second fundamental form.
 
     Contracting two tensors of the same variance is rejected; raising or
     lowering happens only through ``inverse_metric``.
@@ -196,8 +184,9 @@ def undeformed_metric(geom: CylinderGeometry) -> Metric2:
     return Metric2(geom.radius**2, 0.0, 1.0, COVARIANT)
 
 
-def strain_from_linear_twist(geom: CylinderGeometry, alpha: float) -> Strain2:
-    """Green-Lagrange strain of a uniform twist.
+def strain_from_linear_twist(geom: CylinderGeometry, alpha: float) -> Metric2:
+    """Green-Lagrange strain of a uniform twist, a covariant ``Metric2``
+    (dimensionless) like the second fundamental form.
 
     The displacement has the single contravariant component u^phi = alpha*z;
     lowering with diag(R^2, 1) and keeping the quadratic term gives
@@ -207,18 +196,16 @@ def strain_from_linear_twist(geom: CylinderGeometry, alpha: float) -> Strain2:
     r2 = geom.radius**2
     # groupings match twisted_metric bit for bit, so g + 2 eps reproduces it
     # exactly: eps_pz doubles back to r2*alpha, eps_zz to r2*alpha**2
-    return Strain2(eps_pp=0.0,
-                   eps_pz=0.5 * (r2 * alpha),
-                   eps_zz=0.5 * (r2 * alpha**2))
+    return Metric2(0.0, 0.5 * (r2 * alpha), 0.5 * (r2 * alpha**2), COVARIANT)
 
 
-def metric_from_strain(base: Metric2, strain: Strain2) -> Metric2:
-    """Deformed covariant metric g' = g + 2 eps."""
-    if base.variance != COVARIANT:
-        raise ValueError("base metric must be covariant")
-    out = Metric2(base.g_pp + 2.0 * strain.eps_pp,
-                  base.g_pz + 2.0 * strain.eps_pz,
-                  base.g_zz + 2.0 * strain.eps_zz,
+def metric_from_strain(base: Metric2, strain: Metric2) -> Metric2:
+    """Deformed covariant metric g' = g + 2 eps; both must be covariant."""
+    if base.variance != COVARIANT or strain.variance != COVARIANT:
+        raise ValueError("base metric and strain must be covariant")
+    out = Metric2(base.g_pp + 2.0 * strain.g_pp,
+                  base.g_pz + 2.0 * strain.g_pz,
+                  base.g_zz + 2.0 * strain.g_zz,
                   COVARIANT)
     if not out.is_positive_definite:
         raise ValueError("deformed metric is not positive definite")

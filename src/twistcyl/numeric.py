@@ -72,7 +72,8 @@ def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
 
 def _lowest(values: np.ndarray, count: int, geom: CylinderGeometry,
             phys: PhysicsParams) -> np.ndarray:
-    """Indices of the ``count`` eigenvalues of least real part, checked real.
+    """Indices of the ``count`` eigenvalues of least real part, in ascending
+    order of real part, checked real.
 
     The imaginary part may be at most 1e-11 of the eigenvalue's modulus, or
     of the box scale t/L^2 when the eigenvalue is smaller.
@@ -139,7 +140,7 @@ def fd_bound_spectrum(l: int, geom: CylinderGeometry, twist: TwistProfile,
     _check_points(points, count)
     op, _ = _mode_operator(l, geom, twist, phys, points)
     values = np.linalg.eigvals(op)
-    return np.sort(values[_lowest(values, count, geom, phys)].real)
+    return values[_lowest(values, count, geom, phys)].real
 
 
 # Four component arrays instead of numpy's stacked ``@`` on (n, 2, 2)

@@ -95,9 +95,7 @@ class ScatteringScenario:
     @property
     def outside_threshold(self) -> float:
         """Propagation threshold of the outside regions."""
-        if self.kind == EMBEDDED_CYLINDER:
-            return gauge_potential_star(self.mode, self.geom, self.phys)
-        return 0.0
+        return self.inside_threshold if self.kind == EMBEDDED_CYLINDER else 0.0
 
 
 @dataclass(frozen=True)
@@ -185,9 +183,7 @@ def _solve_batch(energies: np.ndarray, scenario: ScatteringScenario):
         rho = np.sqrt((below / scale).astype(complex))
         ik = 1j * np.sqrt(above / scale)
         plus = (below + above) / scale  # rho^2 + k^2
-        # the unscaled r2 = sqrt((V* - E)/t) of region_roots, from below
-        rho_l = np.sqrt((below / scenario.phys.hbar2_over_2m)
-                        .astype(complex)) * length
+        rho_l = region_roots(energies, scenario)[1] * length
         e = np.exp(-rho_l)
         # a sum, not 2.0 * rho_l: a complex product turns inf * 0 into NaN
         m = np.expm1(-(rho_l + rho_l))

@@ -96,8 +96,6 @@ def test_criterion_6_cross_oracle_agreement():
                  else ScatteringScenario.free)
         scenario = maker(geom, alpha, l, PHYS)
         energy = scenario.outside_threshold + rng.uniform(0.05, 6.0)
-        if abs(energy - scenario.inside_threshold) < 1e-6:
-            energy += 1e-3
         sol = solve_scattering(energy, scenario)
         t_ode, r_ode = ode_transmission_oracle(energy, scenario)
         worst = max(worst, abs(sol.transmission - t_ode),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import twistcyl
 from twistcyl.cli import _COMMANDS, _emit, main, parse_config
-from twistcyl.errors import ConfigError
+from twistcyl.errors import ConfigError, ThresholdDegeneracy
 from twistcyl.geometry import CylinderGeometry, PhysicsParams
 from twistcyl.scattering import ScatteringScenario
 
@@ -726,6 +726,18 @@ def test_unknown_command_is_config_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: config: no command given\n"
+    with pytest.raises(ConfigError, match="unknown command 'nope'"):
+        twistcyl.cli.run("nope", parse_config(MINIMAL))
+
+
+def test_library_error_is_numerics_exit(tmp_path, capsys, monkeypatch):
+    def handler(config):
+        raise ThresholdDegeneracy("x")
+
+    monkeypatch.setitem(_COMMANDS, "spectrum", (None, (), handler))
+    cfg = write(tmp_path, "run.ini", MINIMAL)
+    assert main(["spectrum", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: ThresholdDegeneracy: x\n"
 
 
 def test_command_from_run_section(tmp_path, capsys):
@@ -928,8 +940,17 @@ points = {points}
     ("wavefunction", _wavefunction_config("alpha = 0", 0).replace(
         "radius = 1.0", "radius = 1.5e-280").replace(
         "length = 2", "length = 2.4e-246"), 2),
+    # 1e15 points: numpy refuses the 7.11 PiB outright
+    ("scatter-free", _scatter_config(1.0, 1.0, 1, 0.01, 5.0, 10**15), 1),
+    ("sweep", _scatter_config(1.0, 1.0, 1, 0.01, 5.0, 10**15)
+     + "\n[sweep]\nscenario = free\nvary = alpha\nvalues = 0, 1\n", 1),
+    ("wavefunction", _wavefunction_config("alpha = 0", 0).replace(
+        "n_phi = 4", f"n_phi = {10**15}"), 1),
+    ("wavefunction", _wavefunction_config("alpha = 0", 0, n_z=10**15), 1),
 ], ids=["cancelling-determinant", "inside-phase", "v-star-inf",
-        "collapsed-grid", "spectrum-inf", "wavefunction-nan"])
+        "collapsed-grid", "spectrum-inf", "wavefunction-nan",
+        "scatter-points-1e15", "sweep-points-1e15", "n-phi-1e15",
+        "n-z-1e15"])
 def test_extreme_input_ends_finite_or_typed(tmp_path, capsys, command, text,
                                             code):
     # exit 0 with finite, unitary ok rows and an empty stderr, or a typed

@@ -3,7 +3,7 @@ import pytest
 
 from twistcyl.errors import SingularMetric
 from twistcyl.geometry import (COVARIANT, CONTRAVARIANT, CylinderGeometry,
-                               Metric2, PhysicsParams, Strain2, TwistProfile,
+                               Metric2, PhysicsParams, TwistProfile,
                                da_costa_potential, inverse_metric,
                                metric_from_embedding_fd, metric_from_strain,
                                strain_from_linear_twist, surface_curvatures,
@@ -45,7 +45,7 @@ def test_strain_from_linear_twist(radius, alpha, expected):
 
 def test_metric_from_strain_identity_case():
     geom = CylinderGeometry(2.0, 1.0)
-    out = metric_from_strain(undeformed_metric(geom), Strain2(0.0, 0.0, 0.0))
+    out = metric_from_strain(undeformed_metric(geom), Metric2(0.0, 0.0, 0.0))
     assert np.array_equal(out.as_array(), np.diag([4.0, 1.0]))
 
 
@@ -70,13 +70,24 @@ def test_metric_from_strain_equals_twisted_metric_everywhere():
 def test_metric_from_strain_rejects_indefinite():
     geom = CylinderGeometry(1.0, 1.0)
     with pytest.raises(ValueError):
-        metric_from_strain(undeformed_metric(geom), Strain2(0.0, 2.0, 0.0))
+        metric_from_strain(undeformed_metric(geom), Metric2(0.0, 2.0, 0.0))
 
 
 def test_metric_from_strain_rejects_contravariant_base():
     base = Metric2(1.0, 0.0, 1.0, CONTRAVARIANT)
     with pytest.raises(ValueError):
-        metric_from_strain(base, Strain2(0.0, 0.0, 0.0))
+        metric_from_strain(base, Metric2(0.0, 0.0, 0.0))
+
+
+def test_metric_from_strain_rejects_contravariant_strain():
+    base = undeformed_metric(CylinderGeometry(1.0, 1.0))
+    with pytest.raises(ValueError, match="strain must be covariant"):
+        metric_from_strain(base, Metric2(0.0, 0.0, 0.0, CONTRAVARIANT))
+
+
+def test_metric2_rejects_unknown_variance():
+    with pytest.raises(ValueError, match="unknown variance 'mixed'"):
+        Metric2(1, 0, 1, "mixed")
 
 
 @pytest.mark.parametrize("radius,f,expected", [

@@ -214,6 +214,20 @@ def test_wavefunction_carries_twist_phase():
     assert abs(got - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: bound_wavefunction(ModeNumbers(l=0), GEOM,
+                                TwistProfile.constant(0.0), PHYS, (1, 5)),
+     "grid must have at least 2 points per axis"),
+    (lambda: list_bound_states(GEOM, PHYS, n_max=0, l_max=2),
+     "need n_max >= 1 and l_max >= 0"),
+    (lambda: list_bound_states(GEOM, PHYS, n_max=3, l_max=-1),
+     "need n_max >= 1 and l_max >= 0"),
+], ids=["wavefunction-grid", "n-max-0", "l-max-negative"])
+def test_out_of_range_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_list_bound_states_ordering():
     states = list_bound_states(GEOM, PHYS, n_max=3, l_max=2)
     assert len(states) == 15
