@@ -8,12 +8,12 @@ from scipy.optimize import brentq
 from twistcyl.errors import NoPropagatingChannel, ThresholdDegeneracy
 from twistcyl.geometry import CylinderGeometry, PhysicsParams, TwistProfile
 from twistcyl.numeric import ode_transmission_oracle
-from twistcyl.spectrum import ModeNumbers
 from twistcyl.scattering import (EMBEDDED_CYLINDER, FLAG_DEGENERATE, FLAG_OK,
                                  FLAG_SUB_THRESHOLD, ScatteringScenario,
                                  _solve_batch, outside_wavevector,
                                  probability_current, region_roots,
                                  solve_scattering, transmission_sweep)
+from twistcyl.spectrum import ModeNumbers
 
 from literal_ode import literal_ode_probabilities
 
