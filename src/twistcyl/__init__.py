@@ -30,14 +30,14 @@ from .geometry import (COVARIANT, CONTRAVARIANT, CurvatureData,
                        CylinderGeometry, Metric2, PhysicsParams, TwistProfile,
                        da_costa_potential, inverse_metric,
                        metric_from_embedding_fd, metric_from_strain,
-                       strain_from_linear_twist, surface_curvatures,
+                       strain_from_twist, surface_curvatures,
                        twisted_metric, undeformed_metric)
 from .scattering import (ScatteringScenario, ScatteringSolution, SweepResult,
                          outside_wavevector, probability_current,
                          region_roots, solve_scattering, transmission_sweep)
 from .spectrum import (ModeNumbers, WavefunctionSample, bound_wavefunction,
-                       effective_potential, eigenenergy, gauge_potential_star,
-                       list_bound_states, twist_phase)
+                       eigenenergy, gauge_potential_star, list_bound_states,
+                       twist_phase)
 
 __all__ = [
     "COVARIANT", "CONTRAVARIANT", "ConfigError", "CurvatureData",
@@ -46,12 +46,12 @@ __all__ = [
     "ScatteringScenario", "ScatteringSolution", "SingularMetric",
     "SweepResult", "ThresholdDegeneracy", "TwistCylError", "TwistProfile",
     "WavefunctionSample", "bound_wavefunction", "da_costa_potential",
-    "effective_potential", "eigenenergy", "fd_bound_spectrum",
-    "fd_eigenpairs", "gauge_potential_star", "inverse_metric",
+    "eigenenergy", "fd_bound_spectrum", "fd_eigenpairs",
+    "gauge_potential_star", "inverse_metric",
     "list_bound_states", "metric_from_embedding_fd", "metric_from_strain",
     "ode_transmission_oracle", "outside_wavevector",
     "probability_current", "region_roots", "solve_scattering",
-    "strain_from_linear_twist", "surface_curvatures", "transmission_sweep",
+    "strain_from_twist", "surface_curvatures", "transmission_sweep",
     "twist_phase", "twisted_metric", "undeformed_metric",
 ]
 

@@ -21,8 +21,8 @@ class NoPropagatingChannel(TwistCylError):
 
 
 class EigensolverFailure(TwistCylError):
-    """The eigen-oracle met a non-finite operator or spectrum, a non-real
-    eigenvalue, or a twist phase too large for its collocation points."""
+    """The eigen-oracle met a non-finite strain, operator or spectrum, a
+    non-real eigenvalue, too much metric rounding or an unresolved phase."""
 
 
 class IntegratorFailure(TwistCylError):

@@ -116,7 +116,8 @@ class TwistProfile:
 @dataclass(frozen=True)
 class Metric2:
     """Symmetric 2x2 tensor on (phi, z) with an explicit variance flag: the
-    metric, the strain and the second fundamental form.
+    metric, the strain and the second fundamental form. A component is a
+    float or an array over points; ``as_array`` and ``contract`` take floats.
 
     Contracting two tensors of the same variance is rejected; raising or
     lowering happens only through ``inverse_metric``.
@@ -138,10 +139,6 @@ class Metric2:
     @property
     def det(self) -> float:
         return _sym_det2(self.g_pp, self.g_pz, self.g_zz)
-
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.g_pp > 0.0 and self.det > 0.0
 
     def contract(self, other: "Metric2") -> np.ndarray:
         """Mixed-index product g_ik h^kj (or the reverse); variances must differ."""
@@ -184,19 +181,19 @@ def undeformed_metric(geom: CylinderGeometry) -> Metric2:
     return Metric2(geom.radius**2, 0.0, 1.0, COVARIANT)
 
 
-def strain_from_linear_twist(geom: CylinderGeometry, alpha: float) -> Metric2:
-    """Green-Lagrange strain of a uniform twist, a covariant ``Metric2``
-    (dimensionless) like the second fundamental form.
+def strain_from_twist(geom: CylinderGeometry, f) -> Metric2:
+    """Green-Lagrange strain of a twist at the local rate f = theta', a float
+    or an array over heights: a covariant, dimensionless ``Metric2``.
 
-    The displacement has the single contravariant component u^phi = alpha*z;
+    The displacement has the single contravariant component u^phi = theta(z);
     lowering with diag(R^2, 1) and keeping the quadratic term gives
-    eps_pz = R^2 alpha / 2 and eps_zz = R^2 alpha^2 / 2. The Christoffel
-    symbols of the cylinder vanish, so plain partial derivatives suffice.
+    eps_pz = R^2 f / 2 and eps_zz = R^2 f^2 / 2. The Christoffel symbols of
+    the cylinder vanish, so plain partial derivatives suffice.
     """
     r2 = geom.radius**2
     # groupings match twisted_metric bit for bit, so g + 2 eps reproduces it
-    # exactly: eps_pz doubles back to r2*alpha, eps_zz to r2*alpha**2
-    return Metric2(0.0, 0.5 * (r2 * alpha), 0.5 * (r2 * alpha**2), COVARIANT)
+    # exactly: eps_pz doubles back to r2*f, eps_zz to r2*f**2
+    return Metric2(0.0, 0.5 * (r2 * f), 0.5 * (r2 * f**2), COVARIANT)
 
 
 def metric_from_strain(base: Metric2, strain: Metric2) -> Metric2:
@@ -207,7 +204,7 @@ def metric_from_strain(base: Metric2, strain: Metric2) -> Metric2:
                   base.g_pz + 2.0 * strain.g_pz,
                   base.g_zz + 2.0 * strain.g_zz,
                   COVARIANT)
-    if not out.is_positive_definite:
+    if not np.all((out.g_pp > 0.0) & (out.det > 0.0)):
         raise ValueError("deformed metric is not positive definite")
     return out
 
@@ -219,13 +216,14 @@ def twisted_metric(geom: CylinderGeometry, f_value: float) -> Metric2:
 
 
 def inverse_metric(g: Metric2) -> Metric2:
-    """Contravariant inverse of a covariant 2x2 metric."""
+    """Contravariant inverse of a covariant 2x2 metric, point by point."""
     if g.variance != COVARIANT:
         raise ValueError("inverse_metric expects a covariant metric")
     det = g.det
-    scale = abs(g.g_pp * g.g_zz) + g.g_pz**2
-    if det <= _DET_RTOL * scale:
-        raise SingularMetric(f"metric determinant {det:.3e} below tolerance")
+    singular = det <= _DET_RTOL * (abs(g.g_pp * g.g_zz) + g.g_pz**2)
+    if np.any(singular):
+        bad = np.asarray(det)[singular].flat[0]
+        raise SingularMetric(f"metric determinant {bad:.3e} below tolerance")
     return Metric2(g.g_zz / det, -g.g_pz / det, g.g_pp / det, CONTRAVARIANT)
 
 

@@ -6,7 +6,7 @@ on the closed-form spectrum) and a direct ODE-integration transmission oracle
 alone: the eigen-oracle diagonalises a Chebyshev collocation of the literal
 twisted operator with ``np.linalg``, and the ODE oracle propagates the
 constant-coefficient mode equation with powers of one classical Runge-Kutta
-step. Neither uses a closed form.
+step. Neither uses a closed form: both take the equation from the strain.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import math
 import numpy as np
 
 from .errors import EigensolverFailure, IntegratorFailure
-from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
+from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
+                       da_costa_potential, inverse_metric, metric_from_strain,
+                       strain_from_twist, surface_curvatures,
+                       undeformed_metric)
 from .scattering import outside_wavevector
-from .spectrum import ModeNumbers, effective_potential
 
 _RK4_LOG2_STEP = 10  # ODE oracle: h max(1, max|A_ij|) <= 2^-_RK4_LOG2_STEP
 _IMAG_RTOL = 1e-11  # eigen-oracle: largest imaginary part accepted, relative
@@ -29,21 +31,21 @@ def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
                    phys: PhysicsParams, points: int):
     """Chebyshev collocation matrix of the literal longitudinal mode operator.
 
-        -t Z'' + i l t [(f Z)' + f Z'] + V(f) Z
+        -t (1/sqrt g) d_i (sqrt g g^ij d_j) + V_dC,   d_phi -> i l,
 
-    with t = hbar^2/(2m), f = theta' and V the raw potential
-    ``effective_potential``; the bracket is 2 f Z' + f' Z with no
-    derivative of f. On the Gauss-Lobatto points x_j = cos(j pi / N),
-    j = 0..N, mapped to z = L (1 - x)/2, D is the differentiation matrix of
-    Trefethen's cheb.m (Spectral Methods in MATLAB, SIAM 2000), with its
-    diagonal set by the negative-sum trick. Dropping the first and last rows
-    and columns imposes Z(0) = Z(L) = 0. For a z-dependent twist the matrix
-    is not Hermitian, but its spectrum is still real because the first-
-    derivative term can be removed by a phase change of the unknowns.
-    The eigenvectors carry that phase, l theta(z), which the nodes must
-    resolve: a phase |l| (max theta - min theta) across the interior nodes
-    above 0.75 N rad raises EigensolverFailure (see ``fd_bound_spectrum``).
-    Returns the matrix and the N - 1 interior nodes.
+    with t = hbar^2/(2m), derived as the paper does: the strain of the twist
+    at the local rate f = theta' gives the metric g + 2 eps at each node, and
+    the curvatures da Costa's V_dC = -t (M^2 - K); f is never differentiated.
+    On the Gauss-Lobatto points x_j = cos(j pi / N), j = 0..N, mapped to
+    z = L (1 - x)/2, D is the differentiation matrix of Trefethen's cheb.m
+    (Spectral Methods in MATLAB, SIAM 2000), with its diagonal set by the
+    negative-sum trick, and (1/sqrt g) D sqrt g the divergence. Dropping the
+    first and last rows and columns imposes Z(0) = Z(L) = 0. For a
+    z-dependent twist the matrix is not Hermitian, but its spectrum is still
+    real because the first-derivative term can be removed by a phase change
+    of the unknowns, l theta(z), which the eigenvectors carry and the nodes
+    must resolve (``fd_bound_spectrum`` lists the refusals). Returns the
+    matrix and the N - 1 interior nodes.
     """
     j = np.arange(points + 1)
     x = np.cos(np.pi * j / points)
@@ -51,23 +53,31 @@ def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
     d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(points + 1))
     d -= np.diag(d.sum(axis=1))
     d *= -2.0 / geom.length  # d/dz = -(2/L) d/dx
-    d1 = d[1:-1, 1:-1]
-    d2 = (d @ d)[1:-1, 1:-1]
-    z = 0.5 * geom.length * (1.0 - x[1:-1])
+    z = 0.5 * geom.length * (1.0 - x)
     t = phys.hbar2_over_2m
     f = np.broadcast_to(twist.f(z), z.shape)
-    op = (-t * d2 + 1j * l * t * (d1 * f[None, :] + f[:, None] * d1)
-          + np.diag(effective_potential(ModeNumbers(l=l), geom, f, phys)))
+    strain = strain_from_twist(geom, f)
+    if not np.all(np.isfinite(strain.g_zz)):
+        raise EigensolverFailure(f"strain not finite for l = {l}, {geom}")
+    g = metric_from_strain(undeformed_metric(geom), strain)
+    rounding = np.spacing(1.0) * np.max((g.g_pp * g.g_zz + g.g_pz**2) / g.det)
+    if rounding > _IMAG_RTOL:
+        raise EigensolverFailure(f"metric rounding {rounding:.3e} of {geom}")
+    inv = inverse_metric(g)
+    div = d * np.sqrt(g.det) / np.sqrt(g.det)[:, None]
+    v_dc = da_costa_potential(surface_curvatures(geom, f), phys)
+    op = (np.diag(t * l**2 * inv.g_pp + v_dc) - t * (
+        div @ (inv.g_zz[:, None] * d)
+        + 1j * l * (inv.g_pz[:, None] * d + div * inv.g_pz)))[1:-1, 1:-1]
     if not np.all(np.isfinite(op)):
-        raise EigensolverFailure(
-            f"mode operator not finite for l = {l}, {geom}")
-    theta = twist.theta(z)
+        raise EigensolverFailure(f"mode operator not finite for l = {l}, {geom}")
+    theta = twist.theta(z[1:-1])
     phase = abs(l) * float(np.max(theta) - np.min(theta))
     if phase > _PHASE_PER_POINT * points:
         raise EigensolverFailure(
             f"twist phase {phase:.3g} rad exceeds the budget of "
             f"{_PHASE_PER_POINT * points:.3g} rad at {points} points")
-    return op, z
+    return op, z[1:-1]
 
 
 def _lowest(values: np.ndarray, count: int, geom: CylinderGeometry,
@@ -126,16 +136,18 @@ def fd_bound_spectrum(l: int, geom: CylinderGeometry, twist: TwistProfile,
 
     The name is historical: the values are the eigenvalues of least real
     part of the Chebyshev collocation of order ``points``
-    (``np.linalg.eigvals``), with no extrapolation. A non-finite operator
-    or spectrum raises EigensolverFailure, and so do imaginary parts above
-    1e-11 relative, which a z-dependent twist that the nodes do not resolve
-    leaves: raise ``points`` (theta = sin 2z at l = 2, L = 5 is refused at
-    48 and right to 4e-14 at 96). A constant twist a keeps the spectrum
-    real at any order, so the gate cannot see it; instead a twist phase
-    |l| (max theta - min theta) above 0.75 rad per point raises too. At
-    48 points that budget is 36 rad, where the lowest four modes at l = 3,
-    R = 1, L = 5 hold to 4e-14; past it they drift to 3e-11 at 45 rad,
-    3e-7 at 60 and 18% at 90. At 96 points 72 rad holds to 2e-14.
+    (``np.linalg.eigvals``), with no extrapolation. A non-finite strain,
+    operator or spectrum raises EigensolverFailure, and so do imaginary
+    parts above 1e-11 relative, which a z-dependent twist that the nodes do
+    not resolve leaves: raise ``points`` (theta = sin 2z at l = 2, L = 5 is
+    refused at 48 and right to 4e-14 at 96). A constant twist a keeps the
+    spectrum real at any order, so the gate cannot see it; instead a twist
+    phase |l| (max theta - min theta) above 0.75 rad per point raises too.
+    At 48 points that budget is 36 rad, where the lowest four modes at
+    l = 3, R = 1, L = 5 hold to 4e-14; past it they drift to 3e-11 at
+    45 rad, 3e-7 at 60 and 18% at 90. At 96 points 72 rad holds to 2e-14.
+    Last, a metric whose rounding eps (g_pp g_zz + g_pz^2) / det g, which the
+    spectrum inherits, exceeds 1e-11 (R f above about 150) raises too.
     """
     _check_points(points, count)
     op, _ = _mode_operator(l, geom, twist, phys, points)
@@ -158,13 +170,13 @@ def _product(a, b):
 def ode_transmission_oracle(energy, scenario):
     """Transmission and reflection by direct integration of the mode ODE.
 
-    Starts from a pure outgoing wave at z = L, integrates the full complex
-    second-order equation (first-derivative twist term included, no phase
-    transformation) backward through the twisted region, and matches plane
-    waves at z = 0 using the current-continuity derivative conditions. This
-    route shares nothing with the closed-form root/matching solution beyond
-    the scenario definition and ``outside_wavevector``, which also refuses a
-    closed channel; ``_solve_batch`` forms its own k.
+    Starts from a pure outgoing wave at z = L, integrates the literal
+    -t (g^zz Z'' + 2 i l g^pz Z' - l^2 g^pp Z) + V_dC Z = E Z, g and V_dC as
+    in ``_mode_operator``, backward through the twisted region, and matches
+    plane waves at both ends by continuity of Z and of the current
+    g^zz Z' + i l g^zp Z. Beyond the scenario it shares only
+    ``outside_wavevector``, which also refuses a closed channel, with the
+    closed-form solve; ``_solve_batch`` forms its own k.
 
     It integrates the literal equation of a constant twist only: it reads
     ``scenario.twist.rate`` and raises ValueError for any other profile.
@@ -189,8 +201,11 @@ def ode_transmission_oracle(energy, scenario):
     l = scenario.mode.l
     t = phys.hbar2_over_2m
 
-    c1 = 2j * l * alpha
-    c0 = (effective_potential(scenario.mode, geom, alpha, phys) - energies) / t
+    inv = inverse_metric(metric_from_strain(undeformed_metric(geom),
+                                            strain_from_twist(geom, alpha)))
+    v_dc = da_costa_potential(surface_curvatures(geom, alpha), phys)
+    c1 = -2j * l * inv.g_pz / inv.g_zz
+    c0 = (t * l**2 * inv.g_pp + v_dc - energies) / (t * inv.g_zz)
 
     length = geom.length
     scale = max(1.0, float(np.max(np.abs(c0))), abs(c1))
@@ -205,13 +220,13 @@ def ode_transmission_oracle(energy, scenario):
         m = tuple(x / div for x in e)
         e = _product(ha, (m[0] + 1.0, m[1], m[2], m[3] + 1.0))
     out = np.exp(1j * k * length)
-    y_end = (out, (1j * k + 1j * l * alpha) * out)
+    y_end = (out, (1j * k - 1j * l * inv.g_pz) * out / inv.g_zz)
     with np.errstate(all="ignore"):
         for _ in range(steps_log2):
             e = tuple(2.0 * x + y for x, y in zip(e, _product(e, e)))
         z0 = y_end[0] + e[0] * y_end[0] + e[1] * y_end[1]
         zp0 = y_end[1] + e[2] * y_end[0] + e[3] * y_end[1]
-        d = (zp0 - 1j * l * alpha * z0) / (1j * k)
+        d = (inv.g_zz * zp0 + 1j * l * inv.g_pz * z0) / (1j * k)
         a_in = 0.5 * (z0 + d)    # incident amplitude when outgoing is normalized
         b_out = 0.5 * (z0 - d)   # reflected amplitude
         trans = 1.0 / np.abs(a_in)**2

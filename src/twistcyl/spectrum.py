@@ -1,5 +1,5 @@
-"""Bound states on the twisted cylinder: effective potentials, the geometric
-phase, eigenenergies, and sampled wavefunctions.
+"""Bound states on the twisted cylinder: the phase-transformed potential V*,
+the geometric phase, eigenenergies, and sampled wavefunctions.
 
 The twist enters the longitudinal problem only through a removable phase, so
 the spectrum and the probability density carry no twist dependence at all;
@@ -33,25 +33,10 @@ class ModeNumbers:
             raise ValueError("n must be an integer >= 1")
 
 
-def effective_potential(mode: ModeNumbers, geom: CylinderGeometry, f,
-                        phys: PhysicsParams):
-    """Raw mode-l potential (hbar^2 / 2 m R^2) (g_zz l^2 - 1/4), g_zz = 1 + R^2 f^2.
-
-    ``f`` is the local twist rate theta', a float or an array. The
-    centrifugal term carries the twist through g_zz; the phase transform
-    removes it again, see ``gauge_potential_star``. The -1/4 is the
-    curvature-induced potential. It is evaluated as
-    t [(l^2 - 1/4)/R^2 + (f l)^2], so R^2 f^2 cannot overflow when the
-    potential itself is finite.
-    """
-    return phys.hbar2_over_2m * ((mode.l**2 - 0.25) / geom.radius**2
-                                 + (f * mode.l)**2)
-
-
 def gauge_potential_star(mode: ModeNumbers, geom: CylinderGeometry,
                          phys: PhysicsParams) -> float:
     """Phase-transformed potential V* = (hbar^2 / 2 m R^2)(l^2 - 1/4); no
-    twist input exists.
+    twist input exists; the -1/4 is da Costa's curvature potential.
 
     V* is also the energy floor of mode l: below it solutions are sinh-type
     and cannot satisfy both hard-wall conditions, so any correct spectrum

@@ -17,7 +17,7 @@ from .errors import TwistCylError
 from .geometry import (CurvatureData, CylinderGeometry, PhysicsParams,
                        TwistProfile, da_costa_potential, inverse_metric,
                        metric_from_embedding_fd, metric_from_strain,
-                       strain_from_linear_twist, surface_curvatures,
+                       strain_from_twist, surface_curvatures,
                        twisted_metric, undeformed_metric)
 from .numeric import fd_bound_spectrum, fd_eigenpairs, ode_transmission_oracle
 from .scattering import (FLAG_OK, ScatteringScenario, solve_scattering,
@@ -91,14 +91,16 @@ def _check_curvature():
 
 
 def _check_strain():
+    ramp = TwistProfile.linear_ramp(0.3).f(np.linspace(0.0, 5.0, 51))
     devs = []
     for r in (0.5, 1.0, 2.0):
         geom = CylinderGeometry(r, 1.0)
-        for alpha in (0.0, 0.5, 1.5):
+        for f in (0.0, 0.5, 1.5, ramp):
             built = metric_from_strain(undeformed_metric(geom),
-                                       strain_from_linear_twist(geom, alpha))
-            direct = twisted_metric(geom, alpha)
-            devs.append(np.max(np.abs(built.as_array() - direct.as_array())))
+                                       strain_from_twist(geom, f))
+            direct = twisted_metric(geom, f)
+            devs += [np.max(np.abs(getattr(built, c) - getattr(direct, c)))
+                     for c in ("g_pp", "g_pz", "g_zz")]
     worst = float(np.max(devs))
     return worst == 0.0, f"max component deviation {worst:.2e} (tol exact)"
 

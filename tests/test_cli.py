@@ -838,6 +838,25 @@ def test_validate_curvature_check_reads_the_second_form(monkeypatch, capsys):
     assert lines[-1] == "FAILED: 14 of 15 checks passed"
 
 
+def test_validate_oracles_read_the_curvature_potential(monkeypatch, capsys):
+    # both oracles take V_dC = -t (M^2 - K) from surface_curvatures, so a
+    # mean curvature of 1/R (for 1/(2R)) fails every check that holds an
+    # oracle against a closed form
+    from twistcyl import numeric
+    from twistcyl.geometry import CurvatureData, surface_curvatures
+
+    def wrong(geom, f):
+        curv = surface_curvatures(geom, f)
+        return CurvatureData(curv.second_form, mean=1.0 / geom.radius,
+                             gaussian=curv.gaussian)
+
+    monkeypatch.setattr(numeric, "surface_curvatures", wrong)
+    assert main(["validate"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL  spectrum-fd-oracle ") for line in lines)
+    assert lines[-1] == "FAILED: 11 of 15 checks passed"
+
+
 def test_outputs_byte_identical_across_runs(tmp_path):
     cfg = write(tmp_path, "run.ini", SCATTER)
     out1 = tmp_path / "r1.csv"

@@ -6,7 +6,7 @@ from twistcyl.geometry import (COVARIANT, CONTRAVARIANT, CylinderGeometry,
                                Metric2, PhysicsParams, TwistProfile,
                                da_costa_potential, inverse_metric,
                                metric_from_embedding_fd, metric_from_strain,
-                               strain_from_linear_twist, surface_curvatures,
+                               strain_from_twist, surface_curvatures,
                                twisted_metric, undeformed_metric)
 
 
@@ -39,7 +39,7 @@ def test_geometry_validation():
     (1.0, 1.0, [[0.0, 0.5], [0.5, 0.5]]),
 ])
 def test_strain_from_linear_twist(radius, alpha, expected):
-    eps = strain_from_linear_twist(CylinderGeometry(radius, 1.0), alpha)
+    eps = strain_from_twist(CylinderGeometry(radius, 1.0), alpha)
     assert np.allclose(eps.as_array(), expected, rtol=0.0, atol=0.0)
 
 
@@ -51,26 +51,40 @@ def test_metric_from_strain_identity_case():
 
 def test_metric_from_strain_twisted_case():
     geom = CylinderGeometry(2.0, 1.0)
-    eps = strain_from_linear_twist(geom, 0.5)
+    eps = strain_from_twist(geom, 0.5)
     out = metric_from_strain(undeformed_metric(geom), eps)
     assert np.array_equal(out.as_array(), [[4.0, 2.0], [2.0, 2.0]])
 
 
 def test_metric_from_strain_equals_twisted_metric_everywhere():
+    # constant rates one by one, then a ramp's rates at 101 heights as one
+    # array, each component bit for bit
     rng = np.random.default_rng(11)
+    geom = CylinderGeometry(1.7, 5.0)
+    cases = [(geom, TwistProfile.linear_ramp(0.3).f(np.linspace(0, 5, 101)))]
     for _ in range(200):
-        geom = CylinderGeometry(rng.uniform(0.1, 5.0), 1.0)
-        alpha = rng.uniform(-3.0, 3.0)
+        cases.append((CylinderGeometry(rng.uniform(0.1, 5.0), 1.0),
+                      rng.uniform(-3.0, 3.0)))
+    for geom, f in cases:
         built = metric_from_strain(undeformed_metric(geom),
-                                   strain_from_linear_twist(geom, alpha))
-        direct = twisted_metric(geom, alpha)
-        assert np.array_equal(built.as_array(), direct.as_array())
+                                   strain_from_twist(geom, f))
+        direct = twisted_metric(geom, f)
+        for got, want in zip((built.g_pp, built.g_pz, built.g_zz),
+                             (direct.g_pp, direct.g_pz, direct.g_zz)):
+            assert np.array_equal(got, want)
 
 
 def test_metric_from_strain_rejects_indefinite():
     geom = CylinderGeometry(1.0, 1.0)
     with pytest.raises(ValueError):
         metric_from_strain(undeformed_metric(geom), Metric2(0.0, 2.0, 0.0))
+
+
+def test_metric_from_strain_rejects_an_indefinite_node():
+    base = undeformed_metric(CylinderGeometry(1.0, 1.0))
+    strain = Metric2(0.0, np.array([0.0, 0.25, 2.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="not positive definite"):
+        metric_from_strain(base, strain)
 
 
 def test_metric_from_strain_rejects_contravariant_base():
@@ -126,6 +140,11 @@ def test_twisted_metric_determinant_relative_moderate_box():
     ([[4.0, 2.0], [2.0, 2.0]], [[0.5, -0.5], [-0.5, 1.0]]),
     ([[9.0, 0.0], [0.0, 1.0]], [[1.0 / 9.0, 0.0], [0.0, 1.0]]),
     ([[1.0, 3.0], [3.0, 10.0]], [[10.0, -3.0], [-3.0, 1.0]]),
+    # the three rows above as one metric over three points
+    ([[np.array([4.0, 9.0, 1.0]), np.array([2.0, 0.0, 3.0])],
+      [np.array([2.0, 0.0, 3.0]), np.array([2.0, 1.0, 10.0])]],
+     [[np.array([0.5, 1.0 / 9.0, 10.0]), np.array([-0.5, 0.0, -3.0])],
+      [np.array([-0.5, 0.0, -3.0]), np.array([1.0, 1.0, 1.0])]]),
 ])
 def test_inverse_metric_values(g, expected):
     metric = Metric2(g[0][0], g[0][1], g[1][1], COVARIANT)
@@ -146,6 +165,12 @@ def test_inverse_metric_identity_property():
 def test_inverse_metric_rejects_singular():
     with pytest.raises(SingularMetric):
         inverse_metric(Metric2(1.0, 1.0, 1.0, COVARIANT))
+
+
+def test_inverse_metric_rejects_a_singular_node():
+    g = Metric2(np.ones(3), np.array([0.0, 1.0, 0.5]), np.ones(3), COVARIANT)
+    with pytest.raises(SingularMetric, match="0.000e"):
+        inverse_metric(g)
 
 
 def test_inverse_metric_rejects_contravariant():

@@ -239,6 +239,23 @@ def test_fd_unresolved_constant_twist_is_refused():
     np.testing.assert_allclose(vals, exact, rtol=1e-10)
 
 
+def test_fd_metric_rounding_is_refused():
+    # g_zz = 1 + R^2 a^2 rounds away about eps (R a)^2 of det g = R^2, which
+    # the spectrum inherits: 3.4e-12 at R a = 128 passes, R a = 1277 (7e-10)
+    # is refused
+    geom = CylinderGeometry(1371.3, 1.0)
+    twist = TwistProfile.constant(0.9313)
+    with pytest.raises(EigensolverFailure, match="metric rounding"):
+        fd_bound_spectrum(1, geom, twist, PHYS, 2)
+    with pytest.raises(EigensolverFailure, match="metric rounding"):
+        fd_eigenpairs(1, geom, twist, PHYS, 2)
+    geom = CylinderGeometry(137.1, 1.0)
+    vals = fd_bound_spectrum(1, geom, TwistProfile.constant(0.931), PHYS, 3)
+    exact = [eigenenergy(ModeNumbers(l=1, n=n), geom, PHYS)
+             for n in range(1, 4)]
+    np.testing.assert_allclose(vals, exact, rtol=1e-10)
+
+
 # --- ODE transmission oracle -------------------------------------------------
 
 def _random_oracle_cases(seed, count, radius, length, alpha, energy):

@@ -2,9 +2,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from twistcyl.geometry import CylinderGeometry, PhysicsParams, TwistProfile
-from twistcyl.spectrum import (ModeNumbers, bound_wavefunction,
-                               effective_potential, eigenenergy,
+from twistcyl.geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
+                               da_costa_potential, inverse_metric,
+                               metric_from_strain, strain_from_twist,
+                               surface_curvatures, undeformed_metric)
+from twistcyl.spectrum import (ModeNumbers, bound_wavefunction, eigenenergy,
                                gauge_potential_star, list_bound_states,
                                twist_phase)
 
@@ -20,15 +22,22 @@ def test_mode_numbers_validation():
     assert ModeNumbers(l=-3).n == 1
 
 
-@pytest.mark.parametrize("l,alpha,expected", [
-    (1, 0.5, 0.5),      # g_zz = 1.25
+def geometry_potential(l, f):
+    """The oracles' raw mode-l potential t l^2 g^pp + V_dC at rate f, from
+    the strain through the metric and da Costa's potential."""
+    g = metric_from_strain(undeformed_metric(GEOM), strain_from_twist(GEOM, f))
+    return (PHYS.hbar2_over_2m * l**2 * inverse_metric(g).g_pp
+            + da_costa_potential(surface_curvatures(GEOM, f), PHYS))
+
+
+@pytest.mark.parametrize("l,f,expected", [
+    (1, 0.5, 0.5),      # g^pp = g_zz / det g = 1.25
     (0, 0.0, -0.125),
     (0, 2.7, -0.125),   # centrifugal term absent for l = 0
     (1, 0.0, 0.375),
 ])
-def test_effective_potential_values(l, alpha, expected):
-    got = effective_potential(ModeNumbers(l=l), GEOM, alpha, PHYS)
-    assert got == pytest.approx(expected, abs=1e-15)
+def test_effective_potential_values(l, f, expected):
+    assert geometry_potential(l, f) == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("l,radius,expected", [
@@ -45,8 +54,7 @@ def test_gauge_potential_star_values(l, radius, expected):
 def test_gauge_potential_star_equals_untwisted_effective_potential():
     for l in (0, 1, 3):
         star = gauge_potential_star(ModeNumbers(l=l), GEOM, PHYS)
-        raw = effective_potential(ModeNumbers(l=l), GEOM, 0.0, PHYS)
-        assert star == pytest.approx(raw, abs=1e-15)
+        assert star == pytest.approx(geometry_potential(l, 0.0), abs=1e-15)
 
 
 def test_eigenenergy_values():
