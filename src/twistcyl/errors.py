@@ -26,7 +26,8 @@ class EigensolverFailure(TwistCylError):
 
 
 class IntegratorFailure(TwistCylError):
-    """The ODE oracle's propagated solution is not finite."""
+    """The ODE oracle met a non-finite strain, step count or propagated
+    solution, too much metric rounding, or a rate its steps do not resolve."""
 
 
 class ConfigError(TwistCylError):

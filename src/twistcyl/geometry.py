@@ -80,7 +80,7 @@ class TwistProfile:
     f = theta'.
 
     Each callable accepts a float or an array. Use the constructors:
-    ``constant`` for theta = a z (f and ``rate`` are then a), ``linear_ramp``
+    ``constant`` for theta = a z (f is then the number a), ``linear_ramp``
     for theta = a0 z^2 (f = 2 a0 z), or ``profiled`` for a
     caller-supplied angle. ``profiled`` fills in f, when it is not given, by
     a centred difference of theta with a step of 1e-5 max(1, |z|). For
@@ -90,12 +90,11 @@ class TwistProfile:
 
     theta: Callable
     f: Callable
-    rate: float | None = None
 
     @classmethod
     def constant(cls, alpha: float) -> "TwistProfile":
         a = float(alpha)
-        return cls(theta=lambda z: a * z, f=lambda z: a, rate=a)
+        return cls(theta=lambda z: a * z, f=lambda z: a)
 
     @classmethod
     def linear_ramp(cls, alpha0: float) -> "TwistProfile":

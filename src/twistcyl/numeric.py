@@ -3,10 +3,10 @@
 Contains an eigen-oracle for the longitudinal mode equation (the cross check
 on the closed-form spectrum) and a direct ODE-integration transmission oracle
 (the cross check on the closed-form scattering solution). Both run on numpy
-alone: the eigen-oracle diagonalises a Chebyshev collocation of the literal
-twisted operator with ``np.linalg``, and the ODE oracle propagates the
-constant-coefficient mode equation with powers of one classical Runge-Kutta
-step. Neither uses a closed form: both take the equation from the strain.
+alone and take the literal twisted equation from ``_mode_terms``: the
+eigen-oracle diagonalises its Chebyshev collocation with ``np.linalg``, and
+the ODE oracle multiplies classical Runge-Kutta step matrices for any twist
+profile. Neither uses a closed form: both take the equation from the strain.
 """
 
 from __future__ import annotations
@@ -22,9 +22,26 @@ from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                        undeformed_metric)
 from .scattering import outside_wavevector
 
-_RK4_LOG2_STEP = 10  # ODE oracle: h max(1, max|A_ij|) <= 2^-_RK4_LOG2_STEP
-_IMAG_RTOL = 1e-11  # eigen-oracle: largest imaginary part accepted, relative
+_RK4_LOG2_STEP = 10  # ODE oracle: h times A's spectral radius <= 2^-10
+_BLOCK_LOG2 = 10  # ODE oracle: at most 2^10 step matrices held at once
+_IMAG_RTOL = 1e-11  # largest imaginary part and metric rounding, relative
 _PHASE_PER_POINT = 0.75  # eigen-oracle: twist phase budget, rad per point
+
+
+def _mode_terms(geom: CylinderGeometry, f, phys: PhysicsParams, failure):
+    """Metric g + 2 eps at the twist rates f, its inverse and V_dC for both
+    oracles. Raises ``failure`` for a strain that is not finite or a metric
+    rounding eps max((g_pp g_zz + g_pz^2) / det g) above 1e-11 (R f above
+    about 150), which every coefficient inherits."""
+    strain = strain_from_twist(geom, f)
+    if not np.all(np.isfinite(strain.g_zz)):
+        raise failure(f"strain not finite for {geom}")
+    g = metric_from_strain(undeformed_metric(geom), strain)
+    rounding = np.spacing(1.0) * np.max((g.g_pp * g.g_zz + g.g_pz**2) / g.det)
+    if rounding > _IMAG_RTOL:
+        raise failure(f"metric rounding {rounding:.3e} of {geom}")
+    return g, inverse_metric(g), da_costa_potential(
+        surface_curvatures(geom, f), phys)
 
 
 def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
@@ -55,17 +72,9 @@ def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
     d *= -2.0 / geom.length  # d/dz = -(2/L) d/dx
     z = 0.5 * geom.length * (1.0 - x)
     t = phys.hbar2_over_2m
-    f = np.broadcast_to(twist.f(z), z.shape)
-    strain = strain_from_twist(geom, f)
-    if not np.all(np.isfinite(strain.g_zz)):
-        raise EigensolverFailure(f"strain not finite for l = {l}, {geom}")
-    g = metric_from_strain(undeformed_metric(geom), strain)
-    rounding = np.spacing(1.0) * np.max((g.g_pp * g.g_zz + g.g_pz**2) / g.det)
-    if rounding > _IMAG_RTOL:
-        raise EigensolverFailure(f"metric rounding {rounding:.3e} of {geom}")
-    inv = inverse_metric(g)
+    g, inv, v_dc = _mode_terms(geom, np.broadcast_to(twist.f(z), z.shape),
+                               phys, EigensolverFailure)
     div = d * np.sqrt(g.det) / np.sqrt(g.det)[:, None]
-    v_dc = da_costa_potential(surface_curvatures(geom, f), phys)
     op = (np.diag(t * l**2 * inv.g_pp + v_dc) - t * (
         div @ (inv.g_zz[:, None] * d)
         + 1j * l * (inv.g_pz[:, None] * d + div * inv.g_pz)))[1:-1, 1:-1]
@@ -156,10 +165,8 @@ def fd_bound_spectrum(l: int, geom: CylinderGeometry, twist: TwistProfile,
 
 
 # Four component arrays instead of numpy's stacked ``@`` on (n, 2, 2)
-# complex arrays: with ``@`` the embedded-transparency check of ``validate``
-# took 7.5 ms instead of 2.5 ms (2-CPU Xeon, median of 30 in-process runs),
-# and its deviation and free-twist-invariance's moved from 1.11e-14 and
-# 1.67e-15 to 3.42e-14 and 2.44e-15.
+# complex arrays, with which the embedded-transparency check of ``validate``
+# took 7.5 ms instead of 2.5 ms (2-CPU Xeon, median of 30 in-process runs).
 def _product(a, b):
     """Product of two 2x2 matrices, each held as its four component arrays
     (m00, m01, m10, m11)."""
@@ -167,71 +174,94 @@ def _product(a, b):
             a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
 
 
+def _compose(a, b):
+    """(1 + b)(1 + a) - 1, step a first, for steps held as P - 1, which keeps
+    the low bits of hA that forming 1 + hA would round away."""
+    return tuple(x + y + p for x, y, p in zip(a, b, _product(b, a)))
+
+
+def _rk4_step(start, mid, end):
+    """P - 1 = (M1 + 2 M2 + 2 M3 + M4)/6 of a classical RK4 step of y' = A y
+    from hA at its start, middle and end: M1 = hA(start),
+    M2 = hA(mid)(1 + M1/2), M3 = hA(mid)(1 + M2/2), M4 = hA(end)(1 + M3)."""
+    m = [start]
+    for ha, frac in ((mid, 0.5), (mid, 0.5), (end, 1.0)):
+        m.append(tuple(x + frac * y for x, y in zip(ha, _product(ha, m[-1]))))
+    return tuple((a + 2.0 * (b + c) + d) / 6.0 for a, b, c, d in zip(*m))
+
+
+@np.errstate(all="ignore")  # what is not finite raises IntegratorFailure
 def ode_transmission_oracle(energy, scenario):
     """Transmission and reflection by direct integration of the mode ODE.
 
-    Starts from a pure outgoing wave at z = L, integrates the literal
-    -t (g^zz Z'' + 2 i l g^pz Z' - l^2 g^pp Z) + V_dC Z = E Z, g and V_dC as
-    in ``_mode_operator``, backward through the twisted region, and matches
-    plane waves at both ends by continuity of Z and of the current
-    g^zz Z' + i l g^zp Z. Beyond the scenario it shares only
-    ``outside_wavevector``, which also refuses a closed channel, with the
-    closed-form solve; ``_solve_batch`` forms its own k.
+    Integrates the literal -t (g^zz Z'' + 2 i l g^pz Z' - l^2 g^pp Z) + V_dC Z
+    = E Z of any twist, coefficients from ``_mode_terms``, backward from a
+    pure outgoing wave at z = L, and matches plane waves at both ends. It
+    shares only ``outside_wavevector``, which refuses a closed channel, with
+    the closed form. A float ``energy`` gives two floats, an array two arrays.
 
-    It integrates the literal equation of a constant twist only: it reads
-    ``scenario.twist.rate`` and raises ValueError for any other profile.
-    ``energy`` is a float, which returns two floats, or an array, which
-    returns two arrays.
-
-    The equation is y' = A y for y = (Z, Z') with a constant matrix A, so
-    one classical RK4 step of size h is the matrix P = sum_{k<=4} (hA)^k/k!
-    and 2^s steps are P^(2^s), formed by repeated squaring (Ko & Inkson,
-    PRB 38, 9945 (1988), propagate the same equation by transfer matrices).
-    One s serves the whole energy array, so that h max(1, max|A_ij|) <= 2^-10
-    at every energy. Raises IntegratorFailure when the propagated solution
-    is not finite, as when deep tunnelling through a long section overflows.
+    The unknowns are Z and w = g^zz Z' + i l g^zp Z, the current's
+    derivative term, which is the plane wave's Z' at the interfaces:
+    Z' = (w - i l g^zp Z) / g^zz and w' = -i l (g^pz / g^zz) w + c Z with
+    c = [t l^2 (g^pp - (g^zp)^2 / g^zz) + V_dC - E] / t; no f' enters. The
+    2^s RK4 step matrices are multiplied in pairs, in blocks of at most
+    2^10, and a rate that is one number at every height has one step matrix,
+    squared s times (Ko & Inkson, PRB 38, 9945 (1988), propagate the same
+    equation by transfer matrices). s is the least with
+    h (1 + max|l g^zp / g^zz| + sqrt(max|c|)) <= 2^-10 over 65 probe heights
+    and every energy. IntegratorFailure: as in ``_mode_terms``, for a block
+    whose own coefficients break that rule by more than 2 (a rate peak
+    between probe heights), and for a step count or a propagated solution
+    that is not finite (deep tunnelling through a long section overflows).
     """
-    alpha = scenario.twist.rate
-    if alpha is None:
-        raise ValueError("the ODE oracle integrates a constant twist only")
     energies = np.asarray(energy, dtype=float)
-    k = outside_wavevector(energies, scenario)  # refuses a closed channel
-    phys = scenario.phys
-    geom = scenario.geom
-    l = scenario.mode.l
-    t = phys.hbar2_over_2m
+    ik = 1j * outside_wavevector(energies, scenario)  # refuses closed ones
+    geom, twist, phys = scenario.geom, scenario.twist, scenario.phys
+    l, t, length = scenario.mode.l, phys.hbar2_over_2m, geom.length
 
-    inv = inverse_metric(metric_from_strain(undeformed_metric(geom),
-                                            strain_from_twist(geom, alpha)))
-    v_dc = da_costa_potential(surface_curvatures(geom, alpha), phys)
-    c1 = -2j * l * inv.g_pz / inv.g_zz
-    c0 = (t * l**2 * inv.g_pp + v_dc - energies) / (t * inv.g_zz)
+    def coefficients(f):
+        # A = [[b, u], [c, b]] by height, then energy, and the least s it takes
+        _, inv, v_dc = _mode_terms(geom, f, phys, IntegratorFailure)
+        q = t * l**2 * (inv.g_pp - inv.g_pz**2 / inv.g_zz) + v_dc
+        tail = np.shape(q) + (1,) * energies.ndim
+        b = np.reshape(-1j * l * inv.g_pz / inv.g_zz, tail)
+        c = np.subtract.outer(q, energies) / t
+        need = length * 2.0**_RK4_LOG2_STEP * (
+            1.0 + np.max(np.abs(b)) + np.sqrt(np.max(np.abs(c))))
+        if not math.isfinite(need):
+            raise IntegratorFailure(f"step count not finite over {geom}")
+        return ((b, np.reshape(1.0 / inv.g_zz, tail), c),
+                max(0, math.ceil(math.log2(need))))
 
-    length = geom.length
-    scale = max(1.0, float(np.max(np.abs(c0))), abs(c1))
-    steps_log2 = max(0, math.ceil(math.log2(length * scale) + _RK4_LOG2_STEP))
-    h = -length / 2**steps_log2
-    zero = np.zeros_like(c0)
-    ha = (zero, zero + h, h * c0, zero + h * c1)
-    # P - 1 = hA (1 + hA (1 + hA (1 + hA/4)/3)/2) is carried instead of P,
-    # which would round away the low bits of hA: (1 + E)^2 = 1 + (2E + E^2)
-    e = ha
-    for div in (4.0, 3.0, 2.0):
-        m = tuple(x / div for x in e)
-        e = _product(ha, (m[0] + 1.0, m[1], m[2], m[3] + 1.0))
-    out = np.exp(1j * k * length)
-    y_end = (out, (1j * k - 1j * l * inv.g_pz) * out / inv.g_zz)
-    with np.errstate(all="ignore"):
-        for _ in range(steps_log2):
-            e = tuple(2.0 * x + y for x, y in zip(e, _product(e, e)))
-        z0 = y_end[0] + e[0] * y_end[0] + e[1] * y_end[1]
-        zp0 = y_end[1] + e[2] * y_end[0] + e[3] * y_end[1]
-        d = (inv.g_zz * zp0 + 1j * l * inv.g_pz * z0) / (1j * k)
-        a_in = 0.5 * (z0 + d)    # incident amplitude when outgoing is normalized
-        b_out = 0.5 * (z0 - d)   # reflected amplitude
-        trans = 1.0 / np.abs(a_in)**2
-        refl = np.abs(b_out / a_in)**2
-    bad = ~(np.isfinite(z0) & np.isfinite(zp0) & np.isfinite(refl))
+    f = np.asarray(twist.f(np.linspace(0.0, length, 65)))  # probe heights
+    uniform = np.ndim(f) == 0
+    coef, steps_log2 = coefficients(f if uniform else np.broadcast_to(f, 65))
+    h = -length * 2.0**-steps_log2  # 2**1024 would not convert to a float
+    levels = steps_log2 if uniform else min(steps_log2, _BLOCK_LOG2)
+    total = None
+    for block in range(2**(steps_log2 - levels)):
+        if not uniform:  # heights z, z + h/2, z + h of each step
+            z = length + h * (2**levels * block
+                              + 0.5 * np.arange(2**(levels + 1) + 1))
+            coef, own = coefficients(np.broadcast_to(twist.f(z), z.shape))
+            if own > steps_log2 + 1:  # the block needs over twice the steps
+                raise IntegratorFailure(f"rate between probe heights not "
+                                        f"resolved over {geom}")
+        ha = tuple(h * x for x in (coef[0], coef[1], coef[2], coef[0]))
+        e = (_rk4_step(ha, ha, ha) if uniform else _rk4_step(*(tuple(
+            x[j:j + 2**(levels + 1):2] for x in ha) for j in (0, 1, 2))))
+        for _ in range(levels):
+            e = (_compose(e, e) if uniform else _compose(
+                tuple(x[0::2] for x in e), tuple(x[1::2] for x in e)))
+        total = e if total is None else _compose(total, e)
+    e00, e01, e10, e11 = (np.reshape(x, energies.shape) for x in total)
+    out = np.exp(ik * length)
+    z0 = out * (1.0 + e00 + ik * e01)
+    d = out * (1.0 + e11 + e10 / ik)  # w(0) / ik
+    a_in = z0 + d  # twice the incident amplitude; outgoing is normalized
+    trans = 4.0 / np.abs(a_in)**2
+    refl = np.abs((z0 - d) / a_in)**2
+    bad = ~(np.isfinite(z0) & np.isfinite(d) & np.isfinite(refl))
     if np.any(bad):
         raise IntegratorFailure(
             f"propagated solution not finite at energy "

@@ -27,6 +27,8 @@ from .spectrum import (ModeNumbers, bound_wavefunction, eigenenergy,
 
 _PHYS = PhysicsParams()
 _GEOM = CylinderGeometry(radius=1.0, length=1.0)
+_SINE = TwistProfile.profiled(lambda z: 0.4 * np.sin(2.0 * z),
+                              lambda z: 0.8 * np.cos(2.0 * z))
 
 # one np.max over all deviations keeps a NaN; max(0.0, nan) would be 0.0
 
@@ -215,16 +217,21 @@ def _check_resonances():
 
 
 def _check_cross_oracle():
+    # eight random constant twists, then an embedded ramp and a free sine
     rng = random.Random(103)
-    devs = []
+    cases = []
     for i in range(8):
         geom = CylinderGeometry(rng.uniform(0.6, 2.0), rng.uniform(0.6, 2.0))
         l = rng.randrange(3)
         alpha = rng.uniform(0.0, 1.2)
         maker = (ScatteringScenario.embedded if i % 2 == 0
                  else ScatteringScenario.free)
-        scenario = maker(geom, alpha, l)
-        energy = scenario.outside_threshold + rng.uniform(0.3, 5.0)
+        cases.append((maker(geom, alpha, l), rng.uniform(0.3, 5.0)))
+    ramp = ScatteringScenario.embedded(_GEOM, TwistProfile.linear_ramp(0.3), 1)
+    cases += [(ramp, 2.0), (ScatteringScenario.free(_GEOM, _SINE, 1), 2.0)]
+    devs = []
+    for scenario, offset in cases:
+        energy = scenario.outside_threshold + offset
         sol = solve_scattering(energy, scenario)
         t_ode, r_ode = ode_transmission_oracle(energy, scenario)
         devs += [abs(sol.transmission - t_ode), abs(sol.reflection - r_ode)]
@@ -235,10 +242,8 @@ def _check_cross_oracle():
 def _check_twist_phase():
     # the eigenvector of the literal operator carries the phase l theta(z)
     # on top of the real untwisted mode; theta = 0.4 sin 2z is no polynomial
-    twist = TwistProfile.profiled(lambda z: 0.4 * np.sin(2.0 * z),
-                                  lambda z: 0.8 * np.cos(2.0 * z))
-    _, vecs, z = fd_eigenpairs(1, _GEOM, twist, _PHYS, 1)
-    drift = np.unwrap(np.angle(vecs[:, 0]) - twist_phase(twist, 1, z))
+    _, vecs, z = fd_eigenpairs(1, _GEOM, _SINE, _PHYS, 1)
+    drift = np.unwrap(np.angle(vecs[:, 0]) - twist_phase(_SINE, 1, z))
     spread = float(drift.max() - drift.min())
     return spread <= 1e-10, f"max phase drift {spread:.2e} (tol 1e-10)"
 

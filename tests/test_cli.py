@@ -47,7 +47,7 @@ def test_parse_minimal_applies_defaults():
     config = parse_config(MINIMAL)
     assert config.physics.hbar == 1.0 and config.physics.mass == 1.0
     assert config.geometry.radius == 1.0
-    assert config.twist.rate == 0.0
+    assert config.twist.f(1.0) == 0.0
     assert (config.n_max, config.l_max) == (3, 2)
     assert config.output_format == "csv"
     assert config.physics == PhysicsParams()
@@ -325,7 +325,7 @@ points = 5
     assert config.physics == PhysicsParams.electron_nm_ev()
     assert config.physics.hbar2_over_2m == pytest.approx(0.0380998, abs=1e-12)
     assert config.geometry.radius == pytest.approx(1.0, abs=1e-15)
-    assert config.twist.rate == pytest.approx(0.5, abs=1e-15)
+    assert config.twist.f(1.0) == pytest.approx(0.5, abs=1e-15)
     assert config.energy_grid[0] == pytest.approx(0.01, abs=1e-15)
 
 

@@ -274,12 +274,10 @@ def test_twist_profile_fd_derivative_fallback():
     assert twist.f(2.0) == pytest.approx(f[200], abs=1e-9)
     exact = TwistProfile.profiled(lambda x: 0.3 * x * x, f=lambda x: 0.6 * x)
     assert exact.f(2.0) == 1.2
-    assert exact.rate is None
 
 
 def test_twist_profile_constant():
     twist = TwistProfile.constant(0.7)
-    assert twist.rate == 0.7
     assert twist.theta(3.0) == 0.7 * 3.0
     assert twist.f(3.0) == 0.7
 

@@ -1,16 +1,19 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from twistcyl.errors import (EigensolverFailure, IntegratorFailure,
                              NoPropagatingChannel)
 from twistcyl.geometry import CylinderGeometry, PhysicsParams, TwistProfile
 from twistcyl.numeric import (_mode_operator, fd_bound_spectrum,
                               fd_eigenpairs, ode_transmission_oracle)
-from twistcyl.scattering import ScatteringScenario, solve_scattering
+from twistcyl.scattering import (ScatteringScenario, solve_scattering,
+                                 transmission_sweep)
 from twistcyl.spectrum import (ModeNumbers, eigenenergy,
                                gauge_potential_star, twist_phase)
 
@@ -354,11 +357,60 @@ def test_ode_oracle_takes_an_energy_array():
             assert abs(r_arr - r_one) <= 1e-11
 
 
-def test_ode_oracle_refuses_a_profiled_twist():
-    scenario = ScatteringScenario.free(GEOM, TwistProfile.linear_ramp(0.3), 1,
-                                       PHYS)
-    with pytest.raises(ValueError, match="constant twist"):
+def test_ode_oracle_refuses_an_unresolved_rate_peak():
+    # a rate bump of width 1e-3 sits between two of the 65 probe heights;
+    # the step the probe sets breaks the rule 26-fold at the bump
+    width, centre = 1e-3, 0.5 + 1.0 / 128.0
+    twist = TwistProfile.profiled(
+        lambda z: 50.0 * np.sqrt(np.pi) * width * erf((z - centre) / width),
+        lambda z: 100.0 * np.exp(-((z - centre) / width)**2))
+    scenario = ScatteringScenario.free(GEOM, twist, 1, PHYS)
+    with pytest.raises(IntegratorFailure, match="not resolved"):
         ode_transmission_oracle(2.0, scenario)
+
+
+@pytest.mark.parametrize("radius, length, alpha, l, match", [
+    (1371.3, 1.0, 0.9313, 1, "metric rounding"),
+    (1.37, 1.0, 931.3, 0, "metric rounding"),
+    (1.0, 1.0, float("nan"), 1, "not finite"),
+    (1.0, 1.0, 1e200, 1, "strain not finite"),
+    (1.0, 1e306, 0.5, 1, "step count not finite"),
+])
+def test_ode_oracle_guards(radius, length, alpha, l, match):
+    scenario = ScatteringScenario.free(CylinderGeometry(radius, length),
+                                       alpha, l, PHYS)
+    with pytest.raises(IntegratorFailure, match=match):
+        ode_transmission_oracle(2.0, scenario)
+
+
+def test_ode_oracle_holds_log_t_at_large_l_alpha():
+    # R f = 93 stays below the metric-rounding refusal; integrating (Z, Z')
+    # instead of (Z, w) loses 4.7e-9 here, recombining w from Z' at z = 0
+    scenario = ScatteringScenario.free(CylinderGeometry(0.1, 1.3), 931.3, 1,
+                                       PHYS)
+    energies = scenario.inside_threshold + np.array([0.05, 0.5, 2, 5, 10])
+    closed = transmission_sweep(scenario, energies).transmission
+    trans = ode_transmission_oracle(energies, scenario)[0]
+    assert np.max(np.abs(np.log(trans) - np.log(closed))) <= 1e-9
+
+
+def test_ode_oracle_profiled_twist_in_bounded_memory():
+    # theta = 2 sin 3z at l = 3 takes 2^17 steps, multiplied in blocks of
+    # 2^10: all at once they would hold gigabytes
+    twist = TwistProfile.profiled(lambda z: 2.0 * np.sin(3.0 * z),
+                                  lambda z: 6.0 * np.cos(3.0 * z))
+    for maker in (ScatteringScenario.free, ScatteringScenario.embedded):
+        scenario = maker(CylinderGeometry(0.3, 4.0), twist, 3, PHYS)
+        energies = scenario.outside_threshold + np.linspace(0.5, 40.0, 8)
+        closed = np.log(transmission_sweep(scenario, energies).transmission)
+        tracemalloc.start()
+        try:
+            log_t = np.log(ode_transmission_oracle(energies, scenario)[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        assert np.all(np.abs(closed - log_t) <= 1e-8 * np.abs(log_t) + 1e-10)
 
 
 @st.composite
@@ -373,12 +425,10 @@ def oracle_cases(draw):
                      draw(st.integers(-3, 3)), PHYS)
     thr = scenario.outside_threshold
     inside = scenario.inside_threshold
-    # the oracle matches at z = 0 by dividing by k, so its error grows like
-    # 1/k at the outside threshold (5e-10 in T at 1e-6 above it): offsets
-    # start at 1e-3. Below the inside threshold a free scenario tunnels.
+    # below the inside threshold a free scenario tunnels
     barrier = inside - thr if inside - thr > 1e-2 else 20.0
-    energy = thr + draw(st.one_of(st.floats(1e-3, 20.0),
-                                  st.floats(1e-3, barrier)))
+    energy = thr + draw(st.one_of(st.floats(1e-6, 20.0),
+                                  st.floats(1e-6, barrier)))
     assume(energy != inside)
     return scenario, energy
 

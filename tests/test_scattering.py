@@ -484,7 +484,7 @@ def test_non_finite_system_is_threshold_degeneracy():
 # twist: the roots i l a -/+ root and the derivative conditions carry i l a.
 def reference_solve_batch(energies: np.ndarray, scenario: ScatteringScenario):
     k = outside_wavevector(energies, scenario)
-    l_alpha = scenario.mode.l * scenario.twist.rate
+    l_alpha = scenario.mode.l * scenario.twist.f(0.0)
     root = np.sqrt(((scenario.inside_threshold - energies)
                     / scenario.phys.hbar2_over_2m).astype(complex))
     r1, r2 = 1j * l_alpha - root, 1j * l_alpha + root
@@ -541,7 +541,7 @@ def test_elimination_matches_lapack_reference(case):
         return
     r_amp, a_amp, b_amp, t_amp = _solve_batch(energies, scenario)
     # the untwisted t takes the phase e^{i l a L}
-    t_amp = t_amp * np.exp(1j * scenario.mode.l * scenario.twist.rate
+    t_amp = t_amp * np.exp(1j * scenario.mode.l * scenario.twist.f(0.0)
                            * scenario.geom.length)
     for got, ref in zip((r_amp, a_amp, b_amp, t_amp),
                         reference_solve_batch(energies, scenario)):
@@ -555,7 +555,7 @@ def exact_probabilities(energy: float, scenario: ScatteringScenario):
         phys, geom = scenario.phys, scenario.geom
         h2m = mpmath.mpf(phys.hbar2_over_2m)
         radius, length = mpmath.mpf(geom.radius), mpmath.mpf(geom.length)
-        l, alpha = scenario.mode.l, mpmath.mpf(scenario.twist.rate)
+        l, alpha = scenario.mode.l, mpmath.mpf(scenario.twist.f(0.0))
         energy = mpmath.mpf(energy)
         g_zz = 1 + radius**2 * alpha**2
         v_eff = h2m * (g_zz * l**2 - mpmath.mpf(1) / 4) / radius**2
@@ -695,3 +695,7 @@ def test_profiled_twist_matches_literal_ode(case):
     t_ode, r_ode = literal_ode_probabilities(energy, scenario)
     assert abs(sol.transmission - t_ode) <= 1e-10
     assert abs(sol.reflection - r_ode) <= 1e-10
+    t_rk4, r_rk4 = ode_transmission_oracle(energy, scenario)
+    for t_ref, r_ref in ((t_ode, r_ode), (sol.transmission, sol.reflection)):
+        assert abs(t_rk4 - t_ref) <= 1e-12
+        assert abs(r_rk4 - r_ref) <= 1e-12
