@@ -30,8 +30,8 @@ from .geometry import (COVARIANT, CONTRAVARIANT, CurvatureData,
                        CylinderGeometry, Metric2, PhysicsParams, TwistProfile,
                        da_costa_potential, inverse_metric,
                        metric_from_embedding_fd, metric_from_strain,
-                       strain_from_twist, surface_curvatures,
-                       twisted_metric, undeformed_metric)
+                       second_form_from_embedding_fd, strain_from_twist,
+                       surface_curvatures, twisted_metric, undeformed_metric)
 from .scattering import (ScatteringScenario, ScatteringSolution, SweepResult,
                          outside_wavevector, probability_current,
                          region_roots, solve_scattering, transmission_sweep)
@@ -50,9 +50,10 @@ __all__ = [
     "gauge_potential_star", "inverse_metric",
     "list_bound_states", "metric_from_embedding_fd", "metric_from_strain",
     "ode_transmission_oracle", "outside_wavevector",
-    "probability_current", "region_roots", "solve_scattering",
-    "strain_from_twist", "surface_curvatures", "transmission_sweep",
-    "twist_phase", "twisted_metric", "undeformed_metric",
+    "probability_current", "region_roots", "second_form_from_embedding_fd",
+    "solve_scattering", "strain_from_twist", "surface_curvatures",
+    "transmission_sweep", "twist_phase", "twisted_metric",
+    "undeformed_metric",
 ]
 
 __version__ = "0.1.0"

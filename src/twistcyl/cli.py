@@ -12,6 +12,10 @@ Outputs are deterministic: identical config and command produce identical
 bytes. Data files carry no timestamps, only a schema tag and the SHA-256 of
 the config text.
 
+Each command loads only what its output needs: ``hashlib`` when an artifact
+prints the config hash, ``json`` when it is a JSON document, and the oracles
+only for ``validate``.
+
 Exit codes: 0 success, 1 config error, 2 numerical failure,
 3 validation failure.
 """
@@ -19,13 +23,10 @@ Exit codes: 0 success, 1 config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
-from functools import partial
-from json.encoder import encode_basestring_ascii
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -47,7 +48,13 @@ _UNIT_TABLES = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run description; built by ``parse_config``."""
+    """Fully validated run description; built by ``parse_config``.
+
+    ``text`` is the config document as given. Its SHA-256,
+    ``config_sha256``, is computed on first read, which only an artifact's
+    CSV header or JSON document makes, so ``validate`` never loads
+    ``hashlib``.
+    """
 
     physics: PhysicsParams
     geometry: CylinderGeometry | None
@@ -60,8 +67,14 @@ class RunConfig:
     wavefunction: tuple[int, int, int, int]  # n, l, n_phi, n_z
     output_path: str | None
     output_format: str
-    config_sha256: str
     echo: dict
+    text: str = field(repr=False)
+
+    @cached_property
+    def config_sha256(self) -> str:
+        """Hex SHA-256 of the UTF-8 config text."""
+        import hashlib
+        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
 # printf conversion for a column's numpy dtype kind; '%.12g' % x prints
@@ -83,6 +96,7 @@ def _json_cells(column: np.ndarray) -> list:
     writes; NaN is null and the infinities are written as ``json`` writes them.
     """
     if column.dtype.kind == "U":
+        from json.encoder import encode_basestring_ascii
         return list(map(encode_basestring_ascii, column.tolist()))
     if column.dtype.kind != "f":
         return column.tolist()
@@ -122,6 +136,8 @@ def _json_document(schema: str, config: RunConfig, header, columns) -> str:
     indented document; a header key that repeats keeps its last column, as
     a dict would.
     """
+    import json
+    from json.encoder import encode_basestring_ascii
     last = {key: index for index, key in enumerate(header)}
     keys = sorted(last)
     template = "    {\n%s\n    }" % ",\n".join(
@@ -484,8 +500,7 @@ def parse_config(text: str) -> RunConfig:
                            for key in ("n", "l", "n_phi", "n_z")),
         output_path=value["output", "path"],
         output_format=value["output", "format"],
-        config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        echo=echo)
+        echo=echo, text=text)
 
 
 def run(command: str, config: RunConfig) -> int:

@@ -35,6 +35,9 @@ _DET_RTOL = 1e-12
 # and of metric_from_embedding_fd: near eps^(1/3), which balances truncation
 # against rounding
 _FD_STEP = 1e-5
+# second-difference step of second_form_from_embedding_fd: near eps^(1/4),
+# the same balance for a difference divided by the step squared
+_FD_STEP2 = 1e-4
 
 
 @dataclass(frozen=True)
@@ -232,8 +235,8 @@ def surface_curvatures(geom: CylinderGeometry, f_value: float) -> CurvatureData:
     h = [[-R, -R f], [-R f, -R f^2]] has det h = 0, so the Gaussian
     curvature K = det h / det g vanishes identically, and the mean curvature
     stays 1/(2R) no matter how strong the twist. Returned in closed form;
-    ``metric_from_embedding_fd`` is the independent numerical check on the
-    first fundamental form.
+    ``metric_from_embedding_fd`` and ``second_form_from_embedding_fd`` are
+    the independent numerical checks on the two fundamental forms.
     """
     r = geom.radius
     h = Metric2(-r, -r * f_value, -r * f_value**2, COVARIANT)
@@ -248,6 +251,23 @@ def da_costa_potential(curv: CurvatureData, phys: PhysicsParams) -> float:
     return -phys.hbar2_over_2m * (curv.mean**2 - curv.gaussian)
 
 
+def _embedding_fd(geom: CylinderGeometry, twist: TwistProfile,
+                  point: tuple[float, float], step: float):
+    """The embedding r(phi, z) = (R cos(phi + theta(z)),
+    R sin(phi + theta(z)), z) at (i, j) steps from ``point``, as a function
+    of (i, j), and the tangents r_phi, r_z by central differences."""
+    r = geom.radius
+    phi, z = point
+
+    def emb(i: int, j: int) -> np.ndarray:
+        angle = phi + i * step + twist.theta(z + j * step)
+        return np.array([r * math.cos(angle), r * math.sin(angle),
+                         z + j * step])
+
+    return (emb, (emb(1, 0) - emb(-1, 0)) / (2.0 * step),
+            (emb(0, 1) - emb(0, -1)) / (2.0 * step))
+
+
 def metric_from_embedding_fd(geom: CylinderGeometry, twist: TwistProfile,
                              point: tuple[float, float]) -> Metric2:
     """First fundamental form from central differences of the embedding map.
@@ -257,15 +277,29 @@ def metric_from_embedding_fd(geom: CylinderGeometry, twist: TwistProfile,
     ``twisted_metric``. Second-order accurate: with its step of 1e-5 the
     components are good to about 1e-9.
     """
-    r = geom.radius
-    step = _FD_STEP
-    phi, z = point
-
-    def emb(p: float, zz: float) -> np.ndarray:
-        theta = twist.theta(zz)
-        return np.array([r * math.cos(p + theta), r * math.sin(p + theta), zz])
-
-    d_phi = (emb(phi + step, z) - emb(phi - step, z)) / (2.0 * step)
-    d_z = (emb(phi, z + step) - emb(phi, z - step)) / (2.0 * step)
+    _, d_phi, d_z = _embedding_fd(geom, twist, point, _FD_STEP)
     return Metric2(float(d_phi @ d_phi), float(d_phi @ d_z), float(d_z @ d_z),
+                   COVARIANT)
+
+
+def second_form_from_embedding_fd(geom: CylinderGeometry, twist: TwistProfile,
+                                  point: tuple[float, float]) -> Metric2:
+    """Second fundamental form h_ij = r_ij . n from central differences of
+    the embedding map of ``metric_from_embedding_fd``.
+
+    n is the unit cross product r_phi x r_z of the difference tangents,
+    which points outward. Like the metric it reads only theta(z), so it
+    serves as an oracle for ``surface_curvatures``. With its step of 1e-4
+    the second differences are good to about 1e-7 for R and f of order 1.
+    """
+    emb, d_phi, d_z = _embedding_fd(geom, twist, point, _FD_STEP2)
+    normal = np.cross(d_phi, d_z)
+    normal /= np.linalg.norm(normal)
+    # n . r at each offset, so the differences act on numbers
+    at = {(i, j): float(emb(i, j) @ normal)
+          for i in (-1, 0, 1) for j in (-1, 0, 1)}
+    return Metric2((at[1, 0] - 2.0 * at[0, 0] + at[-1, 0]) / _FD_STEP2**2,
+                   (at[1, 1] - at[1, -1] - at[-1, 1] + at[-1, -1])
+                   / (4.0 * _FD_STEP2**2),
+                   (at[0, 1] - 2.0 * at[0, 0] + at[0, -1]) / _FD_STEP2**2,
                    COVARIANT)

@@ -17,8 +17,8 @@ from .errors import TwistCylError
 from .geometry import (CurvatureData, CylinderGeometry, PhysicsParams,
                        TwistProfile, da_costa_potential, inverse_metric,
                        metric_from_embedding_fd, metric_from_strain,
-                       strain_from_twist, surface_curvatures,
-                       twisted_metric, undeformed_metric)
+                       second_form_from_embedding_fd, strain_from_twist,
+                       surface_curvatures, twisted_metric, undeformed_metric)
 from .numeric import fd_bound_spectrum, fd_eigenpairs, ode_transmission_oracle
 from .scattering import (FLAG_OK, ScatteringScenario, solve_scattering,
                          transmission_sweep)
@@ -60,13 +60,18 @@ def _check_inverse():
 
 
 def _check_embedding():
+    # both fundamental forms from differences of the embedding, against
+    # twisted_metric and surface_curvatures' second form
     devs = []
     for twist, z in ((TwistProfile.constant(0.5), 0.7),
                      (TwistProfile.linear_ramp(0.3), 2.0)):
         geom = CylinderGeometry(2.0, 5.0)
-        fd = metric_from_embedding_fd(geom, twist, (0.3, z))
-        closed = twisted_metric(geom, twist.f(z))
-        devs.append(np.max(np.abs(fd.as_array() - closed.as_array())))
+        for fd, closed in (
+                (metric_from_embedding_fd(geom, twist, (0.3, z)),
+                 twisted_metric(geom, twist.f(z))),
+                (second_form_from_embedding_fd(geom, twist, (0.3, z)),
+                 surface_curvatures(geom, twist.f(z)).second_form)):
+            devs.append(np.max(np.abs(fd.as_array() - closed.as_array())))
     worst = float(np.max(devs))
     return worst <= 1e-6, f"max component deviation {worst:.2e} (tol 1e-6)"
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -105,20 +106,27 @@ def test_non_finite_number_is_config_error(tmp_path, old, new):
     assert main([command, "--config", cfg]) == 1
 
 
+# the modules that only printing a config hash or a JSON document needs
+_RENDER_MODULES = "('hashlib', '_hashlib', 'json')"
+
+
 def test_import_leaves_oracle_scipy_modules_unloaded():
     # a fresh interpreter runs validate on the same twistcyl this process
     # imported; neither the import nor the oracles may load any scipy module,
-    # and the seeded checks draw without numpy.random
+    # the seeded checks draw without numpy.random, and the table, which
+    # prints no config hash, loads neither hashlib nor json
     src = os.path.dirname(os.path.dirname(twistcyl.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from twistcyl.cli import main; rc = main(['validate']); "
             "print(rc, sorted(m for m in sys.modules "
             "if m.partition('.')[0] == 'scipy'), "
-            "'numpy.random' in sys.modules, file=sys.stderr)")
+            "'numpy.random' in sys.modules, "
+            f"[m for m in {_RENDER_MODULES} if m in sys.modules], "
+            "file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code, src],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.rstrip().endswith("OK: 15 of 15 checks passed")
-    assert proc.stderr.strip() == "0 [] False"
+    assert proc.stderr.strip() == "0 [] False []"
 
 
 # prelude of the fresh interpreters below: this twistcyl on the path, and
@@ -165,6 +173,18 @@ def test_import_after_numpy_changes_nothing():
                  "print('OPENBLAS_NUM_THREADS' in os.environ, "
                  "before == threads())")
     assert out == ["False", "True"]
+
+
+def test_csv_sweep_loads_hashlib_but_not_json(tmp_path):
+    # the CSV header prints the config hash; nothing of the run is JSON
+    cfg = write(tmp_path, "run.ini", SCATTER + "[sweep]\nscenario = free\n"
+                "vary = alpha\nvalues = 0, 0.5\n")
+    out = _fresh("from twistcyl.cli import main\n"
+                 f"rc = main(['sweep', '--config', {cfg!r}, "
+                 f"'--out', {str(tmp_path / 'sweep.csv')!r}])\n"
+                 f"print(rc, [m for m in {_RENDER_MODULES} "
+                 "if m in sys.modules])")
+    assert " ".join(out) == "0 ['hashlib', '_hashlib']"
 
 
 def test_cli_import_leaves_the_oracles_unloaded():
@@ -353,7 +373,8 @@ def test_spectrum_csv_contents(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "# schema: twistcyl-spectrum-v1"
-    assert lines[1].startswith("# config-sha256: ")
+    assert lines[1] == ("# config-sha256: "
+                        + hashlib.sha256(MINIMAL.encode("utf-8")).hexdigest())
     assert lines[2] == "n,l,energy"
     rows = [line.split(",") for line in lines[3:]]
     assert len(rows) == 15
@@ -363,12 +384,16 @@ def test_spectrum_csv_contents(tmp_path):
 
 
 def test_spectrum_json_format(tmp_path):
-    cfg = write(tmp_path, "run.ini", MINIMAL)
+    # the hash is of the config text as UTF-8, non-ASCII comment included
+    text = "# Radius in Ångström? No: natural units, ħ = m = 1\n" + MINIMAL
+    cfg = write(tmp_path, "run.ini", text)
     out = tmp_path / "spectrum.json"
     assert main(["spectrum", "--config", cfg, "--out", str(out),
                  "--format", "json"]) == 0
     payload = json.loads(out.read_text())
     assert payload["schema"] == "twistcyl-spectrum-v1"
+    assert payload["config_sha256"] == hashlib.sha256(
+        text.encode("utf-8")).hexdigest()
     assert payload["config"]["geometry"]["radius"] == "1.0"
     assert len(payload["rows"]) == 15
     assert payload["rows"][0]["energy"] == pytest.approx(4.80980220054)
@@ -822,7 +847,8 @@ def test_validate_check_fails_on_nan(monkeypatch):
 
 def test_validate_curvature_check_reads_the_second_form(monkeypatch, capsys):
     # K and M are derived from the forms, so a wrong h_zz = -R f (for
-    # -R f^2) fails the check although the returned K and M stay right
+    # -R f^2) fails the check although the returned K and M stay right; the
+    # second form from the embedding fails it too
     from twistcyl import validation
     from twistcyl.geometry import COVARIANT, CurvatureData, Metric2
 
@@ -834,8 +860,9 @@ def test_validate_curvature_check_reads_the_second_form(monkeypatch, capsys):
     monkeypatch.setattr(validation, "surface_curvatures", wrong)
     assert main(["validate"]) == 3
     lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("FAIL  metric-embedding-oracle ")
     assert lines[3].startswith("FAIL  curvature-twist-invariance ")
-    assert lines[-1] == "FAILED: 14 of 15 checks passed"
+    assert lines[-1] == "FAILED: 13 of 15 checks passed"
 
 
 def test_validate_oracles_read_the_curvature_potential(monkeypatch, capsys):

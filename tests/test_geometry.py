@@ -6,6 +6,7 @@ from twistcyl.geometry import (COVARIANT, CONTRAVARIANT, CylinderGeometry,
                                Metric2, PhysicsParams, TwistProfile,
                                da_costa_potential, inverse_metric,
                                metric_from_embedding_fd, metric_from_strain,
+                               second_form_from_embedding_fd,
                                strain_from_twist, surface_curvatures,
                                twisted_metric, undeformed_metric)
 
@@ -261,6 +262,22 @@ def test_embedding_fd_agrees_with_closed_form_sampled():
         got = metric_from_embedding_fd(geom, TwistProfile.constant(alpha),
                                        (rng.uniform(0, 2 * np.pi), z))
         want = twisted_metric(geom, alpha)
+        assert np.max(np.abs(got.as_array() - want.as_array())) <= 1e-6
+
+
+def test_second_form_fd_agrees_with_closed_form_sampled():
+    # h_ij = r_ij . n from second differences of the embedding, for constant
+    # and ramp twists, against surface_curvatures' closed form
+    rng = np.random.default_rng(17)
+    for i in range(30):
+        geom = CylinderGeometry(rng.uniform(0.3, 3.0), 10.0)
+        a = rng.uniform(-1.5, 1.5)
+        twist = (TwistProfile.constant(a) if i % 2
+                 else TwistProfile.linear_ramp(a / 5.0))
+        z = rng.uniform(0.1, 5.0)
+        got = second_form_from_embedding_fd(geom, twist,
+                                            (rng.uniform(0, 2 * np.pi), z))
+        want = surface_curvatures(geom, twist.f(z)).second_form
         assert np.max(np.abs(got.as_array() - want.as_array())) <= 1e-6
 
 

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import warnings
 
@@ -375,12 +376,16 @@ def test_ode_oracle_refuses_an_unresolved_rate_peak():
     (1.0, 1.0, float("nan"), 1, "not finite"),
     (1.0, 1.0, 1e200, 1, "strain not finite"),
     (1.0, 1e306, 0.5, 1, "step count not finite"),
+    # 2^32 steps of the sine twist would run for about an hour
+    (1.0, 1e6, sine_twist(0.4), 1, "exceed the cap of 2\\^22"),
 ])
 def test_ode_oracle_guards(radius, length, alpha, l, match):
     scenario = ScatteringScenario.free(CylinderGeometry(radius, length),
                                        alpha, l, PHYS)
+    start = time.perf_counter()
     with pytest.raises(IntegratorFailure, match=match):
         ode_transmission_oracle(2.0, scenario)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ode_oracle_holds_log_t_at_large_l_alpha():
