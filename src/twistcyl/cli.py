@@ -133,8 +133,8 @@ def _json_document(schema: str, config: RunConfig, header, columns) -> str:
     """The ``json.dumps(..., sort_keys=True, indent=2)`` text of the artifact.
 
     Each row is one ``%`` template over its sorted keys, spliced into the
-    indented document; a header key that repeats keeps its last column, as
-    a dict would.
+    indented document by one join, so the rows text is copied once; a
+    header key that repeats keeps its last column, as a dict would.
     """
     import json
     from json.encoder import encode_basestring_ascii
@@ -149,10 +149,11 @@ def _json_document(schema: str, config: RunConfig, header, columns) -> str:
     text = json.dumps({"schema": schema, "config_sha256": config.config_sha256,
                        "config": config.echo, "rows": []},
                       sort_keys=True, indent=2)
-    if rows:
-        # only the top-level key sits on a line indented by two spaces
-        text = text.replace('\n  "rows": []', f'\n  "rows": [\n{rows}\n  ]', 1)
-    return text + "\n"
+    if not rows:
+        return text + "\n"
+    # only the top-level key sits on a line indented by two spaces
+    head, tail = text.split('\n  "rows": []', 1)
+    return "".join((head, '\n  "rows": [\n', rows, "\n  ]", tail, "\n"))
 
 
 def _write(config: RunConfig, text: str) -> None:

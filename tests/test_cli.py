@@ -799,20 +799,24 @@ def test_validate_exit_code_and_determinism(tmp_path, capsys):
     assert main(["validate", "--out", str(out1)]) == 0
     assert main(["validate", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    stdout = capsys.readouterr().out
-    assert "checks passed" in stdout
+    assert capsys.readouterr().out == 2 * out1.read_text()
+    lines = out1.read_text().splitlines()
+    assert lines[-1] == "OK: 15 of 15 checks passed"
+    # every row names its measure, its value and the tolerance it passed
+    for line in lines[:-1]:
+        assert line.startswith("PASS  ")
+        assert re.search(r" \d\.\d\de[+-]\d+ \(tol [^)]+\)$", line), line
 
 
 def test_validate_fails_nonzero(monkeypatch, capsys):
     from twistcyl import validation
 
-    def broken():
-        return False, "forced failure"
-
     monkeypatch.setattr(validation, "CHECKS",
-                        (("forced-check", broken),) + validation.CHECKS[:1])
+                        (("forced-check", "forced value", 0.0, lambda: 1.0),)
+                        + validation.CHECKS[:1])
     assert main(["validate"]) == 3
-    assert "FAIL  forced-check" in capsys.readouterr().out
+    assert ("FAIL  forced-check                 forced value 1.00e+00 (tol 0)"
+            in capsys.readouterr().out)
 
 
 def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
@@ -823,7 +827,7 @@ def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
         raise EigensolverFailure("forced")
 
     monkeypatch.setattr(validation, "CHECKS", validation.CHECKS[:1]
-                        + (("raising-check", raising),)
+                        + (("raising-check", "never read", 1.0, raising),)
                         + validation.CHECKS[1:2])
     assert main(["validate"]) == 3
     lines = capsys.readouterr().out.splitlines()
@@ -835,14 +839,49 @@ def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
     assert lines[3] == "FAILED: 2 of 3 checks passed"
 
 
-def test_validate_check_fails_on_nan(monkeypatch):
+def test_validate_check_fails_on_nan(monkeypatch, capsys):
     # a NaN deviation must fail its check, not vanish in a running maximum
     from twistcyl import validation
 
     monkeypatch.setattr(validation, "ode_transmission_oracle",
                         lambda energy, scenario: (float("nan"), 0.0))
-    ok, detail = dict(validation.CHECKS)["scattering-ode-oracle"]()
-    assert not ok and "nan" in detail
+    row = next(row for row in validation.CHECKS
+               if row[0] == "scattering-ode-oracle")
+    ok, line = validation.run_check(*row)
+    assert not ok and "nan" in line
+    # and every row fails on a NaN value, whatever its tolerance
+    rows = validation.CHECKS
+    assert len(rows) == 15
+    monkeypatch.setattr(validation, "CHECKS", tuple(
+        (name, measure, tol, lambda: float("nan"))
+        for name, measure, tol, _ in rows))
+    assert main(["validate"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16
+    for line, (name, measure, tol, _) in zip(lines, rows):
+        assert line.startswith(f"FAIL  {name} ")
+        assert line.endswith(f" {measure} nan (tol {tol:g})")
+    assert lines[-1] == "FAILED: 0 of 15 checks passed"
+
+
+def test_validate_unitarity_judges_degenerate_rows(monkeypatch, capsys):
+    # a sweep whose every row is degenerate (NaN T and R) has no unitary
+    # row, so free-unitarity must fail with the checks that read T
+    from twistcyl import validation
+    from twistcyl.scattering import FLAG_DEGENERATE, SweepResult
+
+    def degenerate(scenario, energies):
+        nan = np.full(len(energies), np.nan)
+        return SweepResult(np.asarray(energies), nan, nan.copy(),
+                           np.full(len(energies), FLAG_DEGENERATE))
+
+    monkeypatch.setattr(validation, "transmission_sweep", degenerate)
+    assert main(["validate"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split()[1] for line in lines if line.startswith("FAIL ")]
+    assert failed == ["embedded-transparency", "free-unitarity",
+                      "free-twist-invariance"]
+    assert lines[-1] == "FAILED: 12 of 15 checks passed"
 
 
 def test_validate_curvature_check_reads_the_second_form(monkeypatch, capsys):
@@ -1186,6 +1225,31 @@ def test_emit_json_matches_reference_for_any_labels(tmp_path_factory, table):
     assert out.read_bytes() == _ref_render_json(
         "test-v1", config.config_sha256, header, list(zip(*columns)),
         config.echo).encode("utf-8")
+
+
+def test_json_document_peak_is_bounded_by_the_text():
+    # the rows are spliced into the document by one join: on an 8 x 5000
+    # alpha sweep the traced peak stays within 2.5 times the text (a
+    # replace splice and a trailing "\n" made it 3.25 times)
+    import tracemalloc
+
+    from twistcyl import cli
+
+    config = parse_config(
+        SCATTER.replace("points = 20", "points = 5000")
+        + "\n[sweep]\nscenario = free\nvary = alpha\n"
+        + "values = 0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5\n")
+    schema, _, handler = cli._COMMANDS["sweep"]
+    header, columns = handler(config)
+    columns = [np.asarray(column) for column in columns]
+    tracemalloc.start()
+    try:
+        text = cli._json_document(schema, config, header, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(text)["rows"]) == 5000
+    assert peak <= 2.5 * len(text)
 
 
 FULL_NATURAL = """\
