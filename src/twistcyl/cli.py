@@ -33,7 +33,8 @@ import numpy as np
 from .errors import ConfigError, TwistCylError
 from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
 from .scattering import ScatteringScenario, transmission_sweep
-from .spectrum import ModeNumbers, bound_wavefunction, list_bound_states
+from .spectrum import (ModeNumbers, bound_wavefunction, even_grid,
+                       list_bound_states)
 
 NATURAL = "natural"
 ELECTRON_NM_EV = "electron_nm_eV"
@@ -186,7 +187,7 @@ def _emit(config: RunConfig, schema: str, header, columns) -> None:
 
 def _energies(config: RunConfig) -> np.ndarray:
     e_min, e_max, points = config.energy_grid
-    grid = np.linspace(e_min, e_max, points)
+    grid = even_grid(e_min, e_max, points)
     if not np.all(np.diff(grid) > 0.0):
         raise ConfigError(f"energy grid of {points} points from {e_min} to "
                           f"{e_max} repeats a float value")

@@ -57,6 +57,24 @@ def eigenenergy(mode: ModeNumbers, geom: CylinderGeometry,
     return box + gauge_potential_star(mode, geom, phys)
 
 
+def even_grid(start: float, stop: float, count: int,
+              endpoint: bool = True) -> np.ndarray:
+    """``np.linspace(start, stop, count)`` that holds exactly ``count``
+    points.
+
+    Past its index range numpy raises a ValueError or an IndexError, or
+    returns fewer points (none at all for 2^63 - 1 without the endpoint);
+    each raises MemoryError here, as a count too large to allocate does.
+    """
+    try:
+        grid = np.linspace(start, stop, count, endpoint=endpoint)
+    except (ValueError, IndexError):
+        grid = None
+    if grid is None or grid.size != count:
+        raise MemoryError(f"cannot hold a grid of {count} points")
+    return grid
+
+
 def twist_phase(twist: TwistProfile, l: int, z):
     """Geometric phase l theta(z) at a float or an array of heights.
 
@@ -110,7 +128,8 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
     phase that ``twist_phase`` cannot resolve raises FloatingPointError, and
     so does n >= 2^52, where the half-wavelength L / n has shrunk to the
     float spacing of z near L, and so do values or a density that are not
-    finite, as when R L underflows.
+    finite, as when R L underflows. A grid of more points than numpy can
+    hold raises MemoryError.
 
     On the grid z_j = j L / m, m = n_z - 1, the sine is sin(n pi j / m) with
     n j reduced modulo 2 m and then folded to an argument of at most pi / 2
@@ -124,8 +143,8 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
         raise FloatingPointError(
             f"mode n = {mode.n} is not below 2^52: the half-wavelength L / n "
             "is no wider than the float spacing of z")
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    z = np.linspace(0.0, geom.length, n_z)
+    phi = even_grid(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    z = even_grid(0.0, geom.length, n_z)
     phase = twist_phase(twist, mode.l, z)
     # (n mod 2m) j < 2 m^2 stays exact in int64 for any grid that fits in memory
     m = n_z - 1

@@ -812,7 +812,8 @@ def test_validate_fails_nonzero(monkeypatch, capsys):
     from twistcyl import validation
 
     monkeypatch.setattr(validation, "CHECKS",
-                        (("forced-check", "forced value", 0.0, lambda: 1.0),)
+                        (("forced-check", "forced value", 0.0, lambda: 1.0,
+                          [()]),)
                         + validation.CHECKS[:1])
     assert main(["validate"]) == 3
     assert ("FAIL  forced-check                 forced value 1.00e+00 (tol 0)"
@@ -827,7 +828,8 @@ def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
         raise EigensolverFailure("forced")
 
     monkeypatch.setattr(validation, "CHECKS", validation.CHECKS[:1]
-                        + (("raising-check", "never read", 1.0, raising),)
+                        + (("raising-check", "never read", 1.0, raising,
+                            [()]),)
                         + validation.CHECKS[1:2])
     assert main(["validate"]) == 3
     lines = capsys.readouterr().out.splitlines()
@@ -849,16 +851,23 @@ def test_validate_check_fails_on_nan(monkeypatch, capsys):
                if row[0] == "scattering-ode-oracle")
     ok, line = validation.run_check(*row)
     assert not ok and "nan" in line
+    # one NaN case among several fails its row: the builtin max would keep
+    # the 0.5 and drop the NaN
+    ok, line = validation.run_check("nan-case", "value", 1.0, lambda x: x,
+                                    [(0.0,), (float("nan"),), (0.5,)])
+    assert not ok
+    assert line.startswith("FAIL  nan-case ")
+    assert line.endswith(" value nan (tol 1)")
     # and every row fails on a NaN value, whatever its tolerance
     rows = validation.CHECKS
     assert len(rows) == 15
     monkeypatch.setattr(validation, "CHECKS", tuple(
-        (name, measure, tol, lambda: float("nan"))
-        for name, measure, tol, _ in rows))
+        (name, measure, tol, lambda: float("nan"), [()])
+        for name, measure, tol, *_ in rows))
     assert main(["validate"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 16
-    for line, (name, measure, tol, _) in zip(lines, rows):
+    for line, (name, measure, tol, *_) in zip(lines, rows):
         assert line.startswith(f"FAIL  {name} ")
         assert line.endswith(f" {measure} nan (tol {tol:g})")
     assert lines[-1] == "FAILED: 0 of 15 checks passed"
@@ -1010,6 +1019,9 @@ points = {points}
 """
 
 
+_HUGE_COUNTS = {2**62: "2^62", 2**63 - 1: "2^63-1", 10**20: "1e20"}
+
+
 @pytest.mark.parametrize("command,text,code", [
     # rho L ~ 5e-155 and k << rho: mpmath gives T = 1, R = 2.05e-169
     ("scatter-free", _scatter_config(3.487e-44, 3.630e-198, 0, 3.4e-55,
@@ -1032,10 +1044,18 @@ points = {points}
     ("wavefunction", _wavefunction_config("alpha = 0", 0).replace(
         "n_phi = 4", f"n_phi = {10**15}"), 1),
     ("wavefunction", _wavefunction_config("alpha = 0", 0, n_z=10**15), 1),
+    # counts past numpy's index range: a raw ValueError or IndexError, or
+    # (n_phi = 2^63 - 1) an empty grid and a header without rows
+    *[row for count in _HUGE_COUNTS for row in (
+        ("scatter-free", _scatter_config(1.0, 1.0, 1, 0.01, 5.0, count), 1),
+        ("wavefunction", _wavefunction_config("alpha = 0", 0).replace(
+            "n_phi = 4", f"n_phi = {count}"), 1),
+        ("wavefunction", _wavefunction_config("alpha = 0", 0, n_z=count), 1))],
 ], ids=["cancelling-determinant", "inside-phase", "v-star-inf",
         "collapsed-grid", "spectrum-inf", "wavefunction-nan",
         "scatter-points-1e15", "sweep-points-1e15", "n-phi-1e15",
-        "n-z-1e15"])
+        "n-z-1e15", *[f"{key}-{name}" for name in _HUGE_COUNTS.values()
+                      for key in ("points", "n-phi", "n-z")]])
 def test_extreme_input_ends_finite_or_typed(tmp_path, capsys, command, text,
                                             code):
     # exit 0 with finite, unitary ok rows and an empty stderr, or a typed
