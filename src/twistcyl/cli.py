@@ -108,53 +108,55 @@ def _json_cells(column: np.ndarray) -> list:
     return cells.tolist()
 
 
-def _cells_once(columns, conversion, cells) -> list:
-    """Per column, its ``%`` conversion in the row template and its cells.
+def _render(config: RunConfig, schema: str, header, columns) -> str:
+    """The artifact text of equal-length columns (float, int or str arrays).
 
-    A column that occurs once gets ``conversion(column)`` and
-    ``cells(column)``. An array that occurs more than once (the T, R and
-    flag arrays that the groups of an alpha sweep share) is formatted into
-    strings once, and every occurrence splices that one list in as ``%s``.
+    The formats differ only in the data set first: how a column becomes
+    cells and their ``%`` conversion, the row frame with a label per cell,
+    the row separator, and the text around the rows. A JSON row is the
+    ``json.dumps(..., sort_keys=True, indent=2)`` text of one object; a key
+    that repeats keeps its last column, as a dict would. An array that
+    occurs more than once (the T, R and flag arrays that an alpha sweep's
+    groups share) is formatted into strings once and spliced in as ``%s``.
     """
+    columns = [np.asarray(column) for column in columns]
+    if config.output_format == "json":
+        import json
+        from json.encoder import encode_basestring_ascii
+        last = {key: index for index, key in enumerate(header)}
+        columns = [columns[last[key]] for key in sorted(last)]
+        labels = [f"      {encode_basestring_ascii(key).replace('%', '%%')}: "
+                  for key in sorted(last)]
+        cells, conversion = _json_cells, lambda _: "%s"
+        frame, joiner, separator = "    {\n%s\n    }", ",\n", ",\n"
+        empty = json.dumps({"schema": schema,
+                            "config_sha256": config.config_sha256,
+                            "config": config.echo, "rows": []},
+                           sort_keys=True, indent=2) + "\n"
+        # only the top-level key sits on a line indented by two spaces
+        head, tail = empty.split('\n  "rows": []', 1)
+        head, tail = head + '\n  "rows": [\n', "\n  ]" + tail
+    else:
+        labels = [""] * len(columns)
+        cells, conversion = np.ndarray.tolist, lambda c: _CELL[c.dtype.kind]
+        frame, joiner, separator = "%s", ",", "\n"
+        empty = head = "\n".join((f"# schema: {schema}",
+                                  f"# config-sha256: {config.config_sha256}",
+                                  ",".join(header), ""))
+        tail = "\n"
     count = Counter(map(id, columns))
-    text = {}
-    out = []
-    for column in columns:
-        if count[id(column)] == 1:
-            out.append((conversion(column), cells(column)))
-            continue
-        if id(column) not in text:
-            text[id(column)] = list(map(conversion(column).__mod__,
-                                        cells(column)))
-        out.append(("%s", text[id(column)]))
-    return out
-
-
-def _json_document(schema: str, config: RunConfig, header, columns) -> str:
-    """The ``json.dumps(..., sort_keys=True, indent=2)`` text of the artifact.
-
-    Each row is one ``%`` template over its sorted keys, spliced into the
-    indented document by one join, so the rows text is copied once; a
-    header key that repeats keeps its last column, as a dict would.
-    """
-    import json
-    from json.encoder import encode_basestring_ascii
-    last = {key: index for index, key in enumerate(header)}
-    keys = sorted(last)
-    template = "    {\n%s\n    }" % ",\n".join(
-        f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s"
-        for key in keys)
-    cells = [column_cells for _, column_cells in _cells_once(
-        [columns[last[key]] for key in keys], lambda _: "%s", _json_cells)]
-    rows = ",\n".join(map(template.__mod__, zip(*cells, strict=True)))
-    text = json.dumps({"schema": schema, "config_sha256": config.config_sha256,
-                       "config": config.echo, "rows": []},
-                      sort_keys=True, indent=2)
-    if not rows:
-        return text + "\n"
-    # only the top-level key sits on a line indented by two spaces
-    head, tail = text.split('\n  "rows": []', 1)
-    return "".join((head, '\n  "rows": [\n', rows, "\n  ]", tail, "\n"))
+    shared = {id(column): column for column in columns
+              if count[id(column)] > 1}
+    shared = {key: list(map(conversion(column).__mod__, cells(column)))
+              for key, column in shared.items()}
+    template = frame % joiner.join(
+        label + ("%s" if id(column) in shared else conversion(column))
+        for label, column in zip(labels, columns))
+    body = separator.join(map(template.__mod__, zip(
+        *[shared[id(column)] if id(column) in shared else cells(column)
+          for column in columns], strict=True)))
+    # the row count decides, not the text: a CSV row of one "" cell is a line
+    return "".join((head, body, tail)) if len(columns[0]) else empty
 
 
 def _write(config: RunConfig, text: str) -> None:
@@ -171,18 +173,7 @@ def _write(config: RunConfig, text: str) -> None:
 
 def _emit(config: RunConfig, schema: str, header, columns) -> None:
     """Write equal-length columns (float, int or str arrays) as one artifact."""
-    columns = [np.asarray(column) for column in columns]
-    if config.output_format == "json":
-        text = _json_document(schema, config, header, columns)
-    else:
-        specs = _cells_once(columns, lambda column: _CELL[column.dtype.kind],
-                            lambda column: column.tolist())
-        template = ",".join(conversion for conversion, _ in specs)
-        rows = zip(*[cells for _, cells in specs], strict=True)
-        text = "\n".join([f"# schema: {schema}",
-                          f"# config-sha256: {config.config_sha256}",
-                          ",".join(header), *map(template.__mod__, rows)]) + "\n"
-    _write(config, text)
+    _write(config, _render(config, schema, header, columns))
 
 
 def _energies(config: RunConfig) -> np.ndarray:
@@ -195,10 +186,8 @@ def _energies(config: RunConfig) -> np.ndarray:
 
 
 def _spectrum(config: RunConfig):
-    modes, energies = zip(*list_bound_states(config.geometry, config.physics,
-                                             config.n_max, config.l_max))
-    return (("n", "l", "energy"),
-            ([mode.n for mode in modes], [mode.l for mode in modes], energies))
+    return ("n", "l", "energy"), list_bound_states(
+        config.geometry, config.physics, config.n_max, config.l_max)
 
 
 def _wavefunction(config: RunConfig):

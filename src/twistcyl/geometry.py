@@ -48,10 +48,10 @@ class PhysicsParams:
     mass: float = 1.0  # effective mass
 
     def __post_init__(self):
-        if self.hbar <= 0.0:
-            raise ValueError("hbar must be positive")
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
+        if not 0.0 < self.hbar < math.inf:  # NaN fails too
+            raise ValueError("hbar must be positive and finite")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError("mass must be positive and finite")
 
     @classmethod
     def electron_nm_ev(cls) -> "PhysicsParams":
@@ -71,10 +71,10 @@ class CylinderGeometry:
     length: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-        if self.length <= 0.0:
-            raise ValueError("length must be positive")
+        if not 0.0 < self.radius < math.inf:  # NaN fails too
+            raise ValueError("radius must be positive and finite")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError("length must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
 
 # from this phase on one ulp of it is a whole radian
 _PHASE_LIMIT = 2.0**52
+# the smallest normal float: a term below it keeps fewer than 53 bits
+_TINY = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -45,16 +47,46 @@ def gauge_potential_star(mode: ModeNumbers, geom: CylinderGeometry,
     return phys.hbar2_over_2m * (mode.l**2 - 0.25) / geom.radius**2
 
 
+def _mode_energies(n, l, geom: CylinderGeometry, phys: PhysicsParams):
+    """e = t (n pi / L)^2 + V*, with V* = t (l^2 - 1/4) / R^2 as in
+    ``gauge_potential_star`` and t = hbar^2 / 2m, of modes (n, l) given as
+    integers or as equal-length integer arrays.
+
+    (n pi / L)^2 and R^2 go through ``np.float_power``, libm's ``pow`` as
+    Python's ``**`` on a float, where an array's ``** 2`` is a product that
+    differs by an ulp now and then; l^2, a float product, is the integer
+    square rounded once for |l| < 2^53. So an array gives the bits of its
+    elements one at a time. A term that is not finite, or whose magnitude is
+    below the smallest normal float, raises FloatingPointError naming it.
+    """
+    t = phys.hbar2_over_2m
+    with np.errstate(all="ignore"):  # refused below
+        box = t * np.float_power(n * np.pi / geom.length, 2)
+        # l^2 in floats: an int64 square would wrap past |l| = 3e9
+        star = (t * (np.asarray(l, dtype=float)**2 - 0.25)
+                / np.float_power(geom.radius, 2))
+    for name, term in (("V* = t (l^2 - 1/4) / R^2", star),
+                       ("box term t (n pi / L)^2", box)):
+        bad = np.ravel(~(np.isfinite(term) & (np.abs(term) >= _TINY)))
+        if np.any(bad):
+            at = np.flatnonzero(bad)[0]
+            raise FloatingPointError(
+                f"{name} of mode n = {np.ravel(n)[at]}, l = {np.ravel(l)[at]} "
+                f"is {np.ravel(term)[at]}: not finite or below the smallest "
+                "normal float")
+    return box + star
+
+
 def eigenenergy(mode: ModeNumbers, geom: CylinderGeometry,
                 phys: PhysicsParams) -> float:
     """Bound-state energy of mode (n, l) in the hard-wall box of length L.
 
     e = (hbar^2/2m) (n pi / L)^2 + (hbar^2 / 2 m R^2)(l^2 - 1/4). Twist free:
-    L -> inf leaves the wire spectrum, R -> inf the plain box levels.
+    L -> inf leaves the wire spectrum, R -> inf the plain box levels. A term
+    that is not finite or below the smallest normal float raises
+    FloatingPointError.
     """
-    t = phys.hbar2_over_2m
-    box = t * (mode.n * np.pi / geom.length)**2
-    return box + gauge_potential_star(mode, geom, phys)
+    return float(_mode_energies(mode.n, mode.l, geom, phys))
 
 
 def even_grid(start: float, stop: float, count: int,
@@ -127,7 +159,8 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
     contributes only the unimodular phase, so the density is twist free. A
     phase that ``twist_phase`` cannot resolve raises FloatingPointError, and
     so does n >= 2^52, where the half-wavelength L / n has shrunk to the
-    float spacing of z near L, and so do values or a density that are not
+    float spacing of z near L, and so does a density scale 1/(pi R L) below
+    the smallest normal float, and so do values or a density that are not
     finite, as when R L underflows. A grid of more points than numpy can
     hold raises MemoryError.
 
@@ -143,6 +176,12 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
         raise FloatingPointError(
             f"mode n = {mode.n} is not below 2^52: the half-wavelength L / n "
             "is no wider than the float spacing of z")
+    # pi R L overflows to inf, or its inverse, the density scale, is subnormal
+    if np.pi * geom.radius * geom.length > 1.0 / _TINY:
+        raise FloatingPointError(
+            f"wavefunction of R = {geom.radius}, L = {geom.length}: the "
+            "normalisation's density 1/(pi R L) is below the smallest normal "
+            "float")
     phi = even_grid(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     z = even_grid(0.0, geom.length, n_z)
     phase = twist_phase(twist, mode.l, z)
@@ -167,24 +206,31 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
     return sample
 
 
-def list_bound_states(geom: CylinderGeometry, phys: PhysicsParams,
-                      n_max: int, l_max: int) -> list[tuple[ModeNumbers, float]]:
-    """All (n <= n_max, |l| <= l_max) states, ascending in energy.
+def list_bound_states(
+        geom: CylinderGeometry, phys: PhysicsParams, n_max: int,
+        l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All (n <= n_max, |l| <= l_max) states, ascending in energy, as the
+    three columns n, l and energy.
 
     Energy ties (the +-l degeneracy) are broken by n, then |l|, then l >= 0
-    first, which keeps listings stable across runs. An energy that is not
-    finite, as (l^2 - 1/4)/R^2 overflowing, raises FloatingPointError.
+    first, which keeps listings stable across runs. A term of an energy that
+    is not finite or below the smallest normal float, as (l^2 - 1/4)/R^2
+    overflowing, raises FloatingPointError, and a table of more modes than
+    numpy can hold raises MemoryError.
     """
     if n_max < 1 or l_max < 0:
         raise ValueError("need n_max >= 1 and l_max >= 0")
-    states = []
-    for n in range(1, n_max + 1):
-        for l in range(-l_max, l_max + 1):
-            mode = ModeNumbers(l=l, n=n)
-            energy = eigenenergy(mode, geom, phys)
-            if not np.isfinite(energy):
-                raise FloatingPointError(
-                    f"energy of mode n = {n}, l = {l} is {energy}")
-            states.append((mode, energy))
-    states.sort(key=lambda s: (s[1], s[0].n, abs(s[0].l), s[0].l < 0))
-    return states
+    width = 2 * l_max + 1
+    try:
+        index = np.arange(n_max * width)
+    except (ValueError, OverflowError):  # past numpy's index range
+        index = None
+    # np.arange(2^63 - 1) returns no element at all
+    if index is None or index.size != n_max * width:
+        raise MemoryError(f"cannot hold a table of {n_max} x {width} modes")
+    n, l = np.divmod(index, width)  # n-major, l ascending
+    n += 1
+    l -= l_max
+    energy = _mode_energies(n, l, geom, phys)
+    order = np.lexsort((l < 0, np.abs(l), n, energy))
+    return n[order], l[order], energy[order]

@@ -968,6 +968,25 @@ def test_arithmetic_error_is_numerics_exit(tmp_path, capsys, command, key,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("radius,length,term", [
+    # R^2 overflows, and V* reads 0.0 where it is about 1.9e-340
+    ("1e170", "1e170", "V* = t (l^2 - 1/4) / R^2 of mode n = 1, l = -2 is "
+                       "0.0"),
+    ("7.9e-158", "1.0", "V* = t (l^2 - 1/4) / R^2 of mode n = 1, l = -2 is "
+                        "inf"),
+    ("1.0", "1e-300", "box term t (n pi / L)^2 of mode n = 1, l = -2 is inf"),
+], ids=["r-l-1e170", "r-7.9e-158", "l-1e-300"])
+def test_spectrum_refusal_names_the_term(tmp_path, capsys, radius, length,
+                                         term):
+    cfg = write(tmp_path, "run.ini", MINIMAL.replace(
+        "radius = 1.0", f"radius = {radius}").replace(
+        "length = 1.0", f"length = {length}"))
+    assert main(["spectrum", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: numerics: FloatingPointError: {term}: not finite or below "
+        "the smallest normal float\n")
+
+
 def _quiet_scatter_free(tmp_path, capsys, text):
     """Rows of a scatter-free run that must exit 0 with warnings as errors
     and an empty stderr."""
@@ -1050,12 +1069,25 @@ _HUGE_COUNTS = {2**62: "2^62", 2**63 - 1: "2^63-1", 10**20: "1e20"}
         ("scatter-free", _scatter_config(1.0, 1.0, 1, 0.01, 5.0, count), 1),
         ("wavefunction", _wavefunction_config("alpha = 0", 0).replace(
             "n_phi = 4", f"n_phi = {count}"), 1),
-        ("wavefunction", _wavefunction_config("alpha = 0", 0, n_z=count), 1))],
+        ("wavefunction", _wavefunction_config("alpha = 0", 0, n_z=count), 1),
+        ("spectrum", MINIMAL + f"\n[modes]\nn_max = {count}\n", 1),
+        ("spectrum", MINIMAL + f"\n[modes]\nl_max = {count}\n", 1))],
+    # np.arange(2^63 - 1) is empty: without the size check, a bare header
+    ("spectrum", MINIMAL + f"\n[modes]\nn_max = {2**63 - 1}\nl_max = 0\n", 1),
+    # R^2 overflows, so V* reads 0: without the refusal, 15 rows of energy 0
+    ("spectrum", MINIMAL.replace("1.0", "1e170"), 2),
+    # 1 / (pi R L) is subnormal: without the refusal, psi = 0 in every cell
+    ("wavefunction", _wavefunction_config("alpha = 0", 0).replace(
+        "radius = 1.0", "radius = 1e200").replace(
+        "length = 2", "length = 1e200"), 2),
 ], ids=["cancelling-determinant", "inside-phase", "v-star-inf",
         "collapsed-grid", "spectrum-inf", "wavefunction-nan",
         "scatter-points-1e15", "sweep-points-1e15", "n-phi-1e15",
         "n-z-1e15", *[f"{key}-{name}" for name in _HUGE_COUNTS.values()
-                      for key in ("points", "n-phi", "n-z")]])
+                      for key in ("points", "n-phi", "n-z", "n-max",
+                                  "l-max")],
+        "n-max-2^63-1-l-max-0", "spectrum-r-l-1e170",
+        "wavefunction-r-l-1e200"])
 def test_extreme_input_ends_finite_or_typed(tmp_path, capsys, command, text,
                                             code):
     # exit 0 with finite, unitary ok rows and an empty stderr, or a typed
@@ -1140,7 +1172,8 @@ _CELL_VALUES = {
         -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
         1.7976931348623157e308, 0.1, 1e-5, 123456789012.5])),
     "i": st.integers(-2**63, 2**63 - 1),
-    "U": st.sampled_from(["ok", "sub_threshold", "degenerate"]),
+    # "": one row of one "" cell is still a line after the header
+    "U": st.sampled_from(["ok", "sub_threshold", "degenerate", ""]),
 }
 
 
@@ -1213,6 +1246,21 @@ def test_emit_matches_per_cell_reference(tmp_path_factory, table):
         base.echo).encode("utf-8")
 
 
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_one_row_of_one_empty_cell_is_a_row(tmp_path, output_format):
+    # the row count decides whether rows follow the header, not the text:
+    # one CSV row of one "" cell is an empty line (the property above draws
+    # that table too rarely to pin it)
+    out = tmp_path / "artifact"
+    config = replace(parse_config(""), output_path=str(out),
+                     output_format=output_format)
+    _emit(config, "test-v1", ["a"], [np.array([""])])
+    rows, sha = [("",)], config.config_sha256
+    assert out.read_text() == (
+        _ref_render_csv("test-v1", sha, ["a"], rows) if output_format == "csv"
+        else _ref_render_json("test-v1", sha, ["a"], rows, config.echo))
+
+
 # header labels and str cells beyond the artifacts' own: any order, repeats,
 # '%', quotes, control and non-ASCII characters (no NUL, which a numpy str
 # array drops at the end of a value, and no lone surrogates)
@@ -1264,7 +1312,8 @@ def test_json_document_peak_is_bounded_by_the_text():
     columns = [np.asarray(column) for column in columns]
     tracemalloc.start()
     try:
-        text = cli._json_document(schema, config, header, columns)
+        text = cli._render(replace(config, output_format="json"), schema,
+                           header, columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

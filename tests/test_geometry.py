@@ -16,6 +16,12 @@ def test_physics_params_validation():
         PhysicsParams(hbar=0.0)
     with pytest.raises(ValueError):
         PhysicsParams(mass=-1.0)
+    # NaN compares false with 0, and an infinite mass made hbar^2/2m zero
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="hbar must be positive and fin"):
+            PhysicsParams(hbar=bad)
+        with pytest.raises(ValueError, match="mass must be positive and fin"):
+            PhysicsParams(mass=bad)
 
 
 def test_electron_preset_matches_codata():
@@ -32,6 +38,11 @@ def test_geometry_validation():
         CylinderGeometry(radius=-1.0, length=1.0)
     with pytest.raises(ValueError):
         CylinderGeometry(radius=1.0, length=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius must be positive and"):
+            CylinderGeometry(radius=bad, length=1.0)
+        with pytest.raises(ValueError, match="length must be positive and"):
+            CylinderGeometry(radius=1.0, length=bad)
 
 
 @pytest.mark.parametrize("radius,alpha,expected", [

@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcyl.geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
                                da_costa_potential, inverse_metric,
@@ -237,11 +239,53 @@ def test_out_of_range_arguments_are_refused(call, message):
 
 
 def test_list_bound_states_ordering():
-    states = list_bound_states(GEOM, PHYS, n_max=3, l_max=2)
-    assert len(states) == 15
-    energies = [e for _, e in states]
+    n, l, energy = list_bound_states(GEOM, PHYS, n_max=3, l_max=2)
+    assert len(n) == len(l) == len(energy) == 15
+    energies = energy.tolist()
     assert energies == sorted(energies)
-    assert states[0][0] == ModeNumbers(l=0, n=1)
+    assert (n[0], l[0]) == (1, 0)
     assert energies[0] == pytest.approx(4.80980220054, abs=1e-9)
     # +-l degenerate pairs keep l >= 0 first
-    assert (states[1][0].l, states[2][0].l) == (1, -1)
+    assert (l[1], l[2]) == (1, -1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0),
+       st.floats(-3.0, 3.0), st.integers(1, 20), st.integers(0, 10))
+def test_table_is_the_sorted_per_mode_energies(log_r, log_l, log_hbar, n_max,
+                                               l_max):
+    # the vectorised table against eigenenergy one mode at a time, bit for
+    # bit, in the (energy, n, |l|, l < 0) order; a refused term refuses both.
+    # eigenenergy keeps the bits of Python's scalar ** (libm pow), which a
+    # numpy array's ** 2, a plain product, missed by one ulp now and then.
+    geom = CylinderGeometry(10.0**log_r, 10.0**log_l)
+    phys = PhysicsParams(hbar=10.0**log_hbar)
+    t = phys.hbar2_over_2m
+    try:
+        expected = sorted((eigenenergy(ModeNumbers(l=l, n=n), geom, phys), n,
+                           abs(l), l < 0, l)
+                          for n in range(1, n_max + 1)
+                          for l in range(-l_max, l_max + 1))
+    except FloatingPointError:
+        with pytest.raises(FloatingPointError):
+            list_bound_states(geom, phys, n_max, l_max)
+        return
+    for energy, n, _, _, l in expected:
+        assert energy == (t * (n * np.pi / geom.length)**2
+                          + gauge_potential_star(ModeNumbers(l), geom, phys))
+    n, l, energy = list_bound_states(geom, phys, n_max, l_max)
+    assert n.tolist() == [row[1] for row in expected]
+    assert l.tolist() == [row[4] for row in expected]
+    assert energy.tobytes() == np.array([row[0] for row in expected]).tobytes()
+
+
+@pytest.mark.parametrize("mode,geom,term", [
+    (ModeNumbers(l=0, n=10**200), GEOM, "box term"),
+    (ModeNumbers(l=0), CylinderGeometry(1e170, 1.0), "V\\*"),
+    (ModeNumbers(l=0), CylinderGeometry(1.0, 1e170), "box term"),
+], ids=["n-1e200", "r-1e170", "l-1e170"])
+def test_eigenenergy_refuses_a_term_it_cannot_hold(mode, geom, term):
+    # (n pi / L)^2 overflows; R^2 overflows, so V* reads 0; (pi / L)^2 is
+    # below the smallest normal float
+    with pytest.raises(FloatingPointError, match=term):
+        eigenenergy(mode, geom, PHYS)
