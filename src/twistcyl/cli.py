@@ -85,8 +85,9 @@ _CELL = {"f": "%.12g", "i": "%d", "U": "%s"}
 
 def _sweep_tags(vary: str, values) -> list:
     """The ``[vary=value]`` column tag of each sweep value, the value
-    printed as a cell of its kind."""
-    fmt = _CELL[np.asarray(values).dtype.kind]
+    printed as a cell of the varied key's schema kind (an l past int64
+    has no numpy integer dtype)."""
+    fmt = _CELL["i" if _SCHEMA[_SWEPT[vary]][0] is int else "f"]
     return [f"[{vary}={fmt % value}]" for value in values]
 
 
@@ -425,8 +426,16 @@ def parse_config(text: str) -> RunConfig:
                     line["physics", key])
         physics = PhysicsParams.electron_nm_ev()
     else:
-        physics = PhysicsParams(hbar=value["physics", "hbar"],
-                                mass=value["physics", "mass"])
+        try:
+            physics = PhysicsParams(hbar=value["physics", "hbar"],
+                                    mass=value["physics", "mass"])
+        except ValueError as exc:  # t = hbar^2/2m is off the float range
+            # the line of the given key that moves log t the most
+            key = max((k for k in ("hbar", "mass")
+                       if line["physics", k] is not None),
+                      key=lambda k: abs(np.log(value["physics", k]))
+                      * (2.0 if k == "hbar" else 1.0))
+            raise ConfigError(str(exc), line["physics", key]) from None
 
     geometry = None
     if line["geometry", "radius"] is not None:

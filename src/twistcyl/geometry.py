@@ -16,6 +16,7 @@ curvature-induced quantum potential are insensitive to the twist.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +41,15 @@ _FD_STEP = 1e-5
 _FD_STEP2 = 1e-4
 
 
+def square(x: float) -> float:
+    """x^2 as Python's float ``x**2`` rounds it (libm's ``pow``), but inf
+    where ``**`` raises OverflowError (|x| above about 1.34e154)."""
+    try:
+        return float(x)**2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PhysicsParams:
     """Particle constants; every energy and length scale derives from these."""
@@ -52,6 +62,12 @@ class PhysicsParams:
             raise ValueError("hbar must be positive and finite")
         if not 0.0 < self.mass < math.inf:
             raise ValueError("mass must be positive and finite")
+        # the smallest normal float, 2^-1022, keeps all 53 bits of t
+        if not sys.float_info.min <= self.hbar2_over_2m < math.inf:
+            raise ValueError(
+                f"t = hbar^2/(2m) = {self.hbar2_over_2m} of hbar = "
+                f"{self.hbar}, mass = {self.mass} is not finite or is below "
+                "the smallest normal float")
 
     @classmethod
     def electron_nm_ev(cls) -> "PhysicsParams":
@@ -60,7 +76,7 @@ class PhysicsParams:
 
     @property
     def hbar2_over_2m(self) -> float:
-        return self.hbar**2 / (2.0 * self.mass)
+        return square(self.hbar) / (2.0 * self.mass)
 
 
 @dataclass(frozen=True)
@@ -180,7 +196,7 @@ def _sym_det2(a: float, b: float, d: float) -> float:
 
 def undeformed_metric(geom: CylinderGeometry) -> Metric2:
     """Covariant metric diag(R^2, 1) of the straight cylinder."""
-    return Metric2(geom.radius**2, 0.0, 1.0, COVARIANT)
+    return Metric2(square(geom.radius), 0.0, 1.0, COVARIANT)
 
 
 def strain_from_twist(geom: CylinderGeometry, f) -> Metric2:
@@ -192,7 +208,7 @@ def strain_from_twist(geom: CylinderGeometry, f) -> Metric2:
     eps_pz = R^2 f / 2 and eps_zz = R^2 f^2 / 2. The Christoffel symbols of
     the cylinder vanish, so plain partial derivatives suffice.
     """
-    r2 = geom.radius**2
+    r2 = square(geom.radius)
     # groupings match twisted_metric bit for bit, so g + 2 eps reproduces it
     # exactly: eps_pz doubles back to r2*f, eps_zz to r2*f**2
     return Metric2(0.0, 0.5 * (r2 * f), 0.5 * (r2 * f**2), COVARIANT)
@@ -213,7 +229,7 @@ def metric_from_strain(base: Metric2, strain: Metric2) -> Metric2:
 
 def twisted_metric(geom: CylinderGeometry, f_value: float) -> Metric2:
     """Covariant metric of the twisted cylinder at local twist value f."""
-    r2 = geom.radius**2
+    r2 = square(geom.radius)
     return Metric2(r2, r2 * f_value, 1.0 + r2 * f_value**2, COVARIANT)
 
 

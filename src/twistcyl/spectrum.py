@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
+from .geometry import CylinderGeometry, PhysicsParams, TwistProfile, square
 
 # from this phase on one ulp of it is a whole radian
 _PHASE_LIMIT = 2.0**52
@@ -42,9 +42,10 @@ def gauge_potential_star(mode: ModeNumbers, geom: CylinderGeometry,
 
     V* is also the energy floor of mode l: below it solutions are sinh-type
     and cannot satisfy both hard-wall conditions, so any correct spectrum
-    lies strictly above it.
+    lies strictly above it. R^2 past the float range is inf, so V* reads 0
+    there (about 4e-321 at R = 1e160, l = 1).
     """
-    return phys.hbar2_over_2m * (mode.l**2 - 0.25) / geom.radius**2
+    return phys.hbar2_over_2m * (mode.l**2 - 0.25) / square(geom.radius)
 
 
 def _mode_energies(n, l, geom: CylinderGeometry, phys: PhysicsParams):
@@ -158,7 +159,8 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
     endpoints so the hard-wall zeros sit exactly on the grid. The twist
     contributes only the unimodular phase, so the density is twist free. A
     phase that ``twist_phase`` cannot resolve raises FloatingPointError, and
-    so does n >= 2^52, where the half-wavelength L / n has shrunk to the
+    so does an azimuthal phase |l phi| that reaches 2^52 rad on the grid,
+    and so does n >= 2^52, where the half-wavelength L / n has shrunk to the
     float spacing of z near L, and so does a density scale 1/(pi R L) below
     the smallest normal float, and so do values or a density that are not
     finite, as when R L underflows. A grid of more points than numpy can
@@ -184,6 +186,11 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
             "float")
     phi = even_grid(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     z = even_grid(0.0, geom.length, n_z)
+    # compared before any float product, which a huge l would overflow
+    if abs(mode.l) >= _PHASE_LIMIT / float(phi[-1]):
+        raise FloatingPointError(
+            f"azimuthal phase l phi for l = {mode.l} reaches 2^52 rad on the "
+            f"grid of {n_phi} angles: e^(i l phi) keeps no digit")
     phase = twist_phase(twist, mode.l, z)
     # (n mod 2m) j < 2 m^2 stays exact in int64 for any grid that fits in memory
     m = n_z - 1

@@ -439,7 +439,10 @@ values = 0, 0.5, 1.0
     ("free", "alpha", ["0", "0.5", "1.25"], "alpha = 0.5"),
     ("free", "radius", ["0.5", "2"], "radius = 1.0"),
     ("embedded", "l", ["0", "2"], "l = 1"),
-], ids=["embedded-alpha", "free-alpha", "free-radius", "embedded-l"])
+    # past int64: the tag took its format from an object dtype, a KeyError
+    ("free", "l", ["1", "100000000000000000000"], "l = 1"),
+], ids=["embedded-alpha", "free-alpha", "free-radius", "embedded-l",
+        "free-l-1e20"])
 def test_sweep_groups_equal_their_scatter_artifacts(tmp_path, capsys, scenario,
                                                     vary, values, line):
     # a sweep solves once per gauge class, so every alpha shares one solve;
@@ -954,7 +957,6 @@ def test_stdout_output_when_no_path(tmp_path, capsys):
     ("spectrum", "radius", "1e-300"),
     ("scatter-free", "radius", "1e-300"),
     ("spectrum", "radius", "1e200"),
-    ("scatter-free", "radius", "1e200"),
 ])
 def test_arithmetic_error_is_numerics_exit(tmp_path, capsys, command, key,
                                            value):
@@ -1080,6 +1082,18 @@ _HUGE_COUNTS = {2**62: "2^62", 2**63 - 1: "2^63-1", 10**20: "1e20"}
     ("wavefunction", _wavefunction_config("alpha = 0", 0).replace(
         "radius = 1.0", "radius = 1e200").replace(
         "length = 2", "length = 1e200"), 2),
+    # hbar^2 and R^2 raised a bare OverflowError; R^2 = inf makes V* = 0,
+    # where the true V* is about 4e-321, so T = 1 and R = 0
+    ("spectrum", MINIMAL + "\n[physics]\nhbar = 1e200\n", 1),
+    ("scatter-free", _scatter_config(1e160, 1.0, 1, 0.5, 3.0, 3), 0),
+    ("scatter-embedded", _scatter_config(1e160, 1.0, 1, 0.5, 3.0, 3), 0),
+    ("scatter-free", SCATTER.replace("radius = 1.0", "radius = 1e200"), 0),
+    # t = hbar^2/2m inf or zero: every row was nan,nan,degenerate at exit 0
+    *[("scatter-free", _scatter_config(1.0, 1.0, 1, 0.5, 3.0, 3)
+       + f"\n[physics]\n{key}\n", 1)
+      for key in ("mass = 1e-320", "hbar = 1e-200")],
+    # l phi of about 1.6e29 rad keeps no digit of e^(i l phi)
+    ("wavefunction", _wavefunction_config("alpha = 0", 10**29), 2),
 ], ids=["cancelling-determinant", "inside-phase", "v-star-inf",
         "collapsed-grid", "spectrum-inf", "wavefunction-nan",
         "scatter-points-1e15", "sweep-points-1e15", "n-phi-1e15",
@@ -1087,7 +1101,9 @@ _HUGE_COUNTS = {2**62: "2^62", 2**63 - 1: "2^63-1", 10**20: "1e20"}
                       for key in ("points", "n-phi", "n-z", "n-max",
                                   "l-max")],
         "n-max-2^63-1-l-max-0", "spectrum-r-l-1e170",
-        "wavefunction-r-l-1e200"])
+        "wavefunction-r-l-1e200", "hbar-1e200", "scatter-free-r-1e160",
+        "scatter-embedded-r-1e160", "scatter-free-radius-1e200",
+        "mass-1e-320", "hbar-1e-200", "wavefunction-l-1e29"])
 def test_extreme_input_ends_finite_or_typed(tmp_path, capsys, command, text,
                                             code):
     # exit 0 with finite, unitary ok rows and an empty stderr, or a typed

@@ -22,6 +22,12 @@ def test_physics_params_validation():
             PhysicsParams(hbar=bad)
         with pytest.raises(ValueError, match="mass must be positive and fin"):
             PhysicsParams(mass=bad)
+    # t = hbar^2/2m past the float range: hbar^2 raised a bare OverflowError,
+    # and a subnormal or zero t left every scattering row NaN
+    for hbar, mass in ((1e200, 1.0), (1e-200, 1.0), (1.0, 1e-320),
+                       (1e-150, 1e10)):
+        with pytest.raises(ValueError, match="t = hbar\\^2/\\(2m\\)"):
+            PhysicsParams(hbar=hbar, mass=mass)
 
 
 def test_electron_preset_matches_codata():

@@ -11,8 +11,9 @@ from scipy.special import erf
 from twistcyl.errors import (EigensolverFailure, IntegratorFailure,
                              NoPropagatingChannel)
 from twistcyl.geometry import CylinderGeometry, PhysicsParams, TwistProfile
-from twistcyl.numeric import (_mode_operator, fd_bound_spectrum,
-                              fd_eigenpairs, ode_transmission_oracle)
+from twistcyl.numeric import (_compose, _mode_operator, _rk4_step,
+                              fd_bound_spectrum, fd_eigenpairs,
+                              ode_transmission_oracle)
 from twistcyl.scattering import (ScatteringScenario, solve_scattering,
                                  transmission_sweep)
 from twistcyl.spectrum import (ModeNumbers, eigenenergy,
@@ -228,6 +229,27 @@ def test_fd_nan_twist_is_eigensolver_failure():
         fd_eigenpairs(1, GEOM, twist, PHYS, 2)
 
 
+@pytest.mark.parametrize("geom", [CylinderGeometry(1.0, 1e-153),
+                                  CylinderGeometry(1e160, 1.0)],
+                         ids=["short-length", "huge-radius"])
+def test_fd_out_of_range_geometry_is_eigensolver_failure(geom):
+    # L = 1e-153 overflows the differentiation matrix squared, which raised
+    # a RuntimeWarning under -W error; at R = 1e160, R**2 raised a bare
+    # OverflowError
+    for oracle in (fd_bound_spectrum, fd_eigenpairs):
+        with pytest.raises(EigensolverFailure, match="not finite"):
+            oracle(1, geom, TwistProfile.constant(0.0), PHYS, 1)
+
+
+def test_fd_spectrum_at_a_huge_length():
+    # L**2 in the realness gate's scale raised a bare OverflowError; the box
+    # terms t (n pi / L)^2 vanish, which leaves V*
+    vals = fd_bound_spectrum(1, CylinderGeometry(1.0, 1e160),
+                             TwistProfile.constant(0.0), PHYS, 2)
+    floor = gauge_potential_star(ModeNumbers(l=1), GEOM, PHYS)
+    np.testing.assert_allclose(vals, floor, rtol=1e-12)
+
+
 def test_fd_unresolved_constant_twist_is_refused():
     # a constant twist keeps the spectrum real, so only the phase budget
     # (0.75 rad per point) refuses l a L = 90 rad, 18% off at 48 points
@@ -261,6 +283,33 @@ def test_fd_metric_rounding_is_refused():
 
 
 # --- ODE transmission oracle -------------------------------------------------
+
+def _matmul_stack(*mats):
+    """2x2 stacks with the matrix indices leading, moved last for ``@``."""
+    return [np.moveaxis(m, (0, 1), (-2, -1)) for m in mats]
+
+
+def test_step_matrix_layout_matches_matmul():
+    # (2, 2, heights, energies) stacks against np.matmul on the same values:
+    # a transposed index fails here, and not only in the oracle comparisons
+    rng = np.random.default_rng(7)
+    start, mid, end, a, b = (rng.normal(size=(2, 2, 5, 3))
+                             + 1j * rng.normal(size=(2, 2, 5, 3))
+                             for _ in range(5))
+    eye = np.eye(2)
+    ma, mb = _matmul_stack(a, b)
+    composed = _matmul_stack(_compose(a, b))[0]
+    expected = (eye + mb) @ (eye + ma) - eye
+    assert np.max(np.abs(composed - expected)) <= 1e-14 * np.max(
+        np.abs(expected))
+    s, m, e = _matmul_stack(start, mid, end)
+    m2 = m @ (eye + s / 2)
+    m3 = m @ (eye + m2 / 2)
+    expected = (s + 2 * m2 + 2 * m3 + e @ (eye + m3)) / 6
+    step = _matmul_stack(_rk4_step(start, mid, end))[0]
+    assert np.max(np.abs(step - expected)) <= 1e-14 * np.max(
+        np.abs(expected))
+
 
 def _random_oracle_cases(seed, count, radius, length, alpha, energy):
     """Random (scenario, energy) draws from ``np.random.default_rng(seed)``,
@@ -378,6 +427,7 @@ def test_ode_oracle_refuses_an_unresolved_rate_peak():
     (1.0, 1e306, 0.5, 1, "step count not finite"),
     # 2^32 steps of the sine twist would run for about an hour
     (1.0, 1e6, sine_twist(0.4), 1, "exceed the cap of 2\\^22"),
+    (1e160, 1.0, 0.5, 1, "strain not finite"),
 ])
 def test_ode_oracle_guards(radius, length, alpha, l, match):
     scenario = ScatteringScenario.free(CylinderGeometry(radius, length),
