@@ -16,7 +16,6 @@ curvature-induced quantum potential are insensitive to the twist.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,6 +30,7 @@ CONTRAVARIANT = "contravariant"
 HBAR_SQ_OVER_2ME_EV_NM2 = 0.0380998
 
 _DET_RTOL = 1e-12
+_TINY = 2.0**-1022  # smallest normal float: below it fewer than 53 bits
 
 # centred-difference step of TwistProfile.profiled, relative to max(1, |z|),
 # and of metric_from_embedding_fd: near eps^(1/3), which balances truncation
@@ -41,13 +41,18 @@ _FD_STEP = 1e-5
 _FD_STEP2 = 1e-4
 
 
-def square(x: float) -> float:
-    """x^2 as Python's float ``x**2`` rounds it (libm's ``pow``), but inf
-    where ``**`` raises OverflowError (|x| above about 1.34e154)."""
-    try:
-        return float(x)**2
-    except OverflowError:
-        return math.inf
+def square(x):
+    """x^2 of a float, an int of any size or an array, rounded by libm's
+    ``pow`` as Python's float ``x**2`` is, so an array gives each element's
+    scalar bits (its own ``**`` is a product, an ulp off now and then); inf
+    past the float range, where ``**`` raises, and no warning."""
+    if isinstance(x, (float, int)):  # numpy's call costs about 4 us a scalar
+        try:
+            return float(x)**2
+        except OverflowError:
+            return math.inf
+    with np.errstate(over="ignore"):
+        return np.float_power(x, 2)
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,7 @@ class PhysicsParams:
             raise ValueError("hbar must be positive and finite")
         if not 0.0 < self.mass < math.inf:
             raise ValueError("mass must be positive and finite")
-        # the smallest normal float, 2^-1022, keeps all 53 bits of t
-        if not sys.float_info.min <= self.hbar2_over_2m < math.inf:
+        if not _TINY <= self.hbar2_over_2m < math.inf:
             raise ValueError(
                 f"t = hbar^2/(2m) = {self.hbar2_over_2m} of hbar = "
                 f"{self.hbar}, mass = {self.mass} is not finite or is below "
@@ -210,8 +214,8 @@ def strain_from_twist(geom: CylinderGeometry, f) -> Metric2:
     """
     r2 = square(geom.radius)
     # groupings match twisted_metric bit for bit, so g + 2 eps reproduces it
-    # exactly: eps_pz doubles back to r2*f, eps_zz to r2*f**2
-    return Metric2(0.0, 0.5 * (r2 * f), 0.5 * (r2 * f**2), COVARIANT)
+    # exactly: eps_pz doubles back to r2*f, eps_zz to r2*f^2
+    return Metric2(0.0, 0.5 * (r2 * f), 0.5 * (r2 * square(f)), COVARIANT)
 
 
 def metric_from_strain(base: Metric2, strain: Metric2) -> Metric2:
@@ -230,7 +234,7 @@ def metric_from_strain(base: Metric2, strain: Metric2) -> Metric2:
 def twisted_metric(geom: CylinderGeometry, f_value: float) -> Metric2:
     """Covariant metric of the twisted cylinder at local twist value f."""
     r2 = square(geom.radius)
-    return Metric2(r2, r2 * f_value, 1.0 + r2 * f_value**2, COVARIANT)
+    return Metric2(r2, r2 * f_value, 1.0 + r2 * square(f_value), COVARIANT)
 
 
 def inverse_metric(g: Metric2) -> Metric2:
@@ -255,7 +259,7 @@ def surface_curvatures(geom: CylinderGeometry, f_value: float) -> CurvatureData:
     the independent numerical checks on the two fundamental forms.
     """
     r = geom.radius
-    h = Metric2(-r, -r * f_value, -r * f_value**2, COVARIANT)
+    h = Metric2(-r, -r * f_value, -r * square(f_value), COVARIANT)
     return CurvatureData(second_form=h, mean=1.0 / (2.0 * r), gaussian=0.0)
 
 
@@ -264,7 +268,7 @@ def da_costa_potential(curv: CurvatureData, phys: PhysicsParams) -> float:
 
     For any twisted cylinder this evaluates to -hbar^2 / (8 m R^2).
     """
-    return -phys.hbar2_over_2m * (curv.mean**2 - curv.gaussian)
+    return -phys.hbar2_over_2m * (square(curv.mean) - curv.gaussian)
 
 
 def _embedding_fd(geom: CylinderGeometry, twist: TwistProfile,

@@ -31,6 +31,14 @@ _IMAG_RTOL = 1e-11  # largest imaginary part and metric rounding, relative
 _PHASE_PER_POINT = 0.75  # eigen-oracle: twist phase budget, rad per point
 
 
+def _real(l) -> float:
+    # +-inf where float(l) raises, so a huge l ends in the oracle's failure
+    try:
+        return float(l)
+    except OverflowError:
+        return math.inf if l > 0 else -math.inf
+
+
 def _mode_terms(geom: CylinderGeometry, f, phys: PhysicsParams, failure):
     """Metric g + 2 eps at the twist rates f, its inverse and V_dC for both
     oracles. Raises ``failure`` for a strain that is not finite or a metric
@@ -75,15 +83,16 @@ def _mode_operator(l: int, geom: CylinderGeometry, twist: TwistProfile,
     d -= np.diag(d.sum(axis=1))
     d *= -2.0 / geom.length  # d/dz = -(2/L) d/dx
     z = 0.5 * geom.length * (1.0 - x)
-    t = phys.hbar2_over_2m
+    t, l = phys.hbar2_over_2m, _real(l)
     g, inv, v_dc = _mode_terms(geom, np.broadcast_to(twist.f(z), z.shape),
                                phys, EigensolverFailure)
     div = d * np.sqrt(g.det) / np.sqrt(g.det)[:, None]
-    op = (np.diag(t * l**2 * inv.g_pp + v_dc) - t * (
+    op = (np.diag(t * square(l) * inv.g_pp + v_dc) - t * (
         div @ (inv.g_zz[:, None] * d)
         + 1j * l * (inv.g_pz[:, None] * d + div * inv.g_pz)))[1:-1, 1:-1]
     if not np.all(np.isfinite(op)):
-        raise EigensolverFailure(f"mode operator not finite for l = {l}, {geom}")
+        raise EigensolverFailure(
+            f"mode operator not finite for l = {l:g}, {geom}")
     theta = twist.theta(z[1:-1])
     phase = abs(l) * float(np.max(theta) - np.min(theta))
     if phase > _PHASE_PER_POINT * points:
@@ -214,12 +223,12 @@ def ode_transmission_oracle(energy, scenario):
     energies = np.asarray(energy, dtype=float)
     ik = 1j * outside_wavevector(energies, scenario)  # refuses closed ones
     geom, twist, phys = scenario.geom, scenario.twist, scenario.phys
-    l, t, length = scenario.mode.l, phys.hbar2_over_2m, geom.length
+    l, t, length = _real(scenario.mode.l), phys.hbar2_over_2m, geom.length
 
     def coefficients(f):
         # A = [[b, u], [c, b]] by height, then energy, and the least s it takes
         _, inv, v_dc = _mode_terms(geom, f, phys, IntegratorFailure)
-        q = t * l**2 * (inv.g_pp - inv.g_pz**2 / inv.g_zz) + v_dc
+        q = t * square(l) * (inv.g_pp - inv.g_pz**2 / inv.g_zz) + v_dc
         tail = np.shape(q) + (1,) * energies.ndim
         b = np.reshape(-1j * l * inv.g_pz / inv.g_zz, tail)
         c = np.subtract.outer(q, energies) / t

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CylinderGeometry, PhysicsParams, TwistProfile, square
+from .geometry import (_TINY, CylinderGeometry, PhysicsParams, TwistProfile,
+                       square)
 
 # from this phase on one ulp of it is a whole radian
 _PHASE_LIMIT = 2.0**52
-# the smallest normal float: a term below it keeps fewer than 53 bits
-_TINY = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,12 @@ class ModeNumbers:
             raise ValueError("n must be an integer >= 1")
 
 
+@np.errstate(all="ignore")
+def _v_star(l, radius: float, t: float):
+    # numpy divides: R^2 underflowed to 0 gives +-inf, not ZeroDivisionError
+    return t * (square(l) - 0.25) / np.float64(square(radius))
+
+
 def gauge_potential_star(mode: ModeNumbers, geom: CylinderGeometry,
                          phys: PhysicsParams) -> float:
     """Phase-transformed potential V* = (hbar^2 / 2 m R^2)(l^2 - 1/4); no
@@ -42,30 +47,24 @@ def gauge_potential_star(mode: ModeNumbers, geom: CylinderGeometry,
 
     V* is also the energy floor of mode l: below it solutions are sinh-type
     and cannot satisfy both hard-wall conditions, so any correct spectrum
-    lies strictly above it. R^2 past the float range is inf, so V* reads 0
-    there (about 4e-321 at R = 1e160, l = 1).
+    lies strictly above it. It is +-inf where l^2 overflows or R^2
+    underflows to 0, which leaves every sweep row degenerate (sub_threshold
+    if embedded), and 0 where R^2 overflows (4e-321 at R = 1e160, l = 1).
     """
-    return phys.hbar2_over_2m * (mode.l**2 - 0.25) / square(geom.radius)
+    return float(_v_star(mode.l, geom.radius, phys.hbar2_over_2m))
 
 
 def _mode_energies(n, l, geom: CylinderGeometry, phys: PhysicsParams):
-    """e = t (n pi / L)^2 + V*, with V* = t (l^2 - 1/4) / R^2 as in
-    ``gauge_potential_star`` and t = hbar^2 / 2m, of modes (n, l) given as
-    integers or as equal-length integer arrays.
-
-    (n pi / L)^2 and R^2 go through ``np.float_power``, libm's ``pow`` as
-    Python's ``**`` on a float, where an array's ``** 2`` is a product that
-    differs by an ulp now and then; l^2, a float product, is the integer
-    square rounded once for |l| < 2^53. So an array gives the bits of its
-    elements one at a time. A term that is not finite, or whose magnitude is
-    below the smallest normal float, raises FloatingPointError naming it.
+    """e = t (n pi / L)^2 + V*, with V* as in ``gauge_potential_star`` and
+    t = hbar^2 / 2m, of modes (n, l) given as integers or as equal-length
+    integer arrays; ``square`` gives an array the bits of its elements one
+    at a time. A term that is not finite, or whose magnitude is below the
+    smallest normal float, raises FloatingPointError naming it.
     """
     t = phys.hbar2_over_2m
     with np.errstate(all="ignore"):  # refused below
-        box = t * np.float_power(n * np.pi / geom.length, 2)
-        # l^2 in floats: an int64 square would wrap past |l| = 3e9
-        star = (t * (np.asarray(l, dtype=float)**2 - 0.25)
-                / np.float_power(geom.radius, 2))
+        box = t * square(n * np.pi / geom.length)
+    star = _v_star(l, geom.radius, t)
     for name, term in (("V* = t (l^2 - 1/4) / R^2", star),
                        ("box term t (n pi / L)^2", box)):
         bad = np.ravel(~(np.isfinite(term) & (np.abs(term) >= _TINY)))

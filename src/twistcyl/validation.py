@@ -250,17 +250,26 @@ def run_check(name, measure, tol, check, cases) -> tuple[bool, str]:
     """Run ``check`` over ``cases`` as one ``CHECKS`` row; returns its
     verdict and its report line.
 
-    The value is the largest the check measured over the cases, by
-    ``np.max``, so a NaN in any case stays; the row passes when that value
+    The value is the largest the check measured over the cases, or the
+    first NaN, so a NaN in any case stays; the row passes when that value
     is at most ``tol``, so a NaN fails. A check that raises a TwistCylError
-    or an ArithmeticError fails with the error as its detail.
+    or an ArithmeticError fails with the error as its detail. A failing
+    line ends with ``[case <i>]``, the index in ``cases`` of the case that
+    gave the value or raised.
     """
+    values = []
     try:
-        value = float(np.max([check(*case) for case in cases]))
+        for case in cases:
+            values.append(check(*case))
+        at = int(np.argmax(values))  # the first NaN, else the largest
+        value = float(values[at])
         ok = value <= tol
         detail = f"{measure} {value:.2e} (tol {tol:g})"
     except (TwistCylError, ArithmeticError) as exc:
-        ok, detail = False, f"error: {type(exc).__name__}: {exc}"
+        at, ok = len(values), False
+        detail = f"error: {type(exc).__name__}: {exc}"
+    if not ok:
+        detail += f" [case {at}]"
     return ok, f"{'PASS' if ok else 'FAIL'}  {name:<28s} {detail}"
 
 

@@ -676,6 +676,10 @@ values = 1
 def _single_line(err, prefix):
     assert err.startswith(prefix), err
     assert len(err.splitlines()) == 1
+    # a bare OverflowError or ZeroDivisionError names no quantity: only a
+    # FloatingPointError that names one is a typed numerics failure
+    if err.startswith("error: numerics: "):
+        assert err.startswith("error: numerics: FloatingPointError: "), err
 
 
 def _single_error_line(capsys, prefix):
@@ -819,8 +823,31 @@ def test_validate_fails_nonzero(monkeypatch, capsys):
                           [()]),)
                         + validation.CHECKS[:1])
     assert main(["validate"]) == 3
-    assert ("FAIL  forced-check                 forced value 1.00e+00 (tol 0)"
-            in capsys.readouterr().out)
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "FAIL  forced-check                 forced value 1.00e+00 (tol 0) "
+        "[case 0]")
+
+
+def test_validate_fail_line_names_its_worst_case():
+    from twistcyl.validation import run_check
+
+    def check(x):
+        if x is None:
+            raise FloatingPointError("forced")
+        return x
+
+    # the largest value, the first NaN, and the case that raised
+    nan = float("nan")
+    for cases, tail in (
+            ([0.5, 2.0, 1.0], "value 2.00e+00 (tol 0) [case 1]"),
+            ([0.5, nan, 2.0, nan], "value nan (tol 0) [case 1]"),
+            ([0.0, 0.0, None], "error: FloatingPointError: forced [case 2]")):
+        ok, line = run_check("worst", "value", 0.0, check,
+                             [(x,) for x in cases])
+        assert not ok and line.endswith(tail), line
+    # a passing line names no case
+    assert run_check("worst", "value", 0.0, check, [(0.0,)]) == (
+        True, f"PASS  {'worst':<28s} value 0.00e+00 (tol 0)")
 
 
 def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
@@ -839,7 +866,7 @@ def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
     assert len(lines) == 4
     assert lines[0].startswith("PASS  metric-determinant")
     assert lines[1].startswith("FAIL  raising-check")
-    assert lines[1].endswith("error: EigensolverFailure: forced")
+    assert lines[1].endswith("error: EigensolverFailure: forced [case 0]")
     assert lines[2].startswith("PASS  metric-inverse-identity")
     assert lines[3] == "FAILED: 2 of 3 checks passed"
 
@@ -860,7 +887,7 @@ def test_validate_check_fails_on_nan(monkeypatch, capsys):
                                     [(0.0,), (float("nan"),), (0.5,)])
     assert not ok
     assert line.startswith("FAIL  nan-case ")
-    assert line.endswith(" value nan (tol 1)")
+    assert line.endswith(" value nan (tol 1) [case 1]")
     # and every row fails on a NaN value, whatever its tolerance
     rows = validation.CHECKS
     assert len(rows) == 15
@@ -872,7 +899,7 @@ def test_validate_check_fails_on_nan(monkeypatch, capsys):
     assert len(lines) == 16
     for line, (name, measure, tol, *_) in zip(lines, rows):
         assert line.startswith(f"FAIL  {name} ")
-        assert line.endswith(f" {measure} nan (tol {tol:g})")
+        assert line.endswith(f" {measure} nan (tol {tol:g}) [case 0]")
     assert lines[-1] == "FAILED: 0 of 15 checks passed"
 
 
@@ -955,7 +982,6 @@ def test_stdout_output_when_no_path(tmp_path, capsys):
 @pytest.mark.parametrize("command,key,value", [
     ("spectrum", "length", "1e-300"),
     ("spectrum", "radius", "1e-300"),
-    ("scatter-free", "radius", "1e-300"),
     ("spectrum", "radius", "1e200"),
 ])
 def test_arithmetic_error_is_numerics_exit(tmp_path, capsys, command, key,
@@ -1051,6 +1077,10 @@ _HUGE_COUNTS = {2**62: "2^62", 2**63 - 1: "2^63-1", 10**20: "1e20"}
     ("scatter-free", _scatter_config(1.02, 2.6e118, 1, 1.0, 2.0, 3), 0),
     # V* = -inf: degenerate rows without a RuntimeWarning
     ("scatter-embedded", _scatter_config(4.5e-157, 1.0, 0, 0.01, 5.0, 3), 0),
+    # R^2 underflows to 0 and l^2 overflows: V* = +inf in place of a bare
+    # ZeroDivisionError or OverflowError, so degenerate rows
+    ("scatter-free", SCATTER.replace("radius = 1.0", "radius = 1e-300"), 0),
+    ("scatter-free", _scatter_config(1.0, 1.0, 10**200, 0.5, 3.0, 3), 0),
     # np.linspace repeats a value a few ulps wide
     ("scatter-free", _scatter_config(1.0, 1.0, 1, 5.07497072399346e-206,
                                      5.074970723993465e-206, 7), 1),
@@ -1095,6 +1125,7 @@ _HUGE_COUNTS = {2**62: "2^62", 2**63 - 1: "2^63-1", 10**20: "1e20"}
     # l phi of about 1.6e29 rad keeps no digit of e^(i l phi)
     ("wavefunction", _wavefunction_config("alpha = 0", 10**29), 2),
 ], ids=["cancelling-determinant", "inside-phase", "v-star-inf",
+        "scatter-free-radius-1e-300", "scatter-free-l-1e200",
         "collapsed-grid", "spectrum-inf", "wavefunction-nan",
         "scatter-points-1e15", "sweep-points-1e15", "n-phi-1e15",
         "n-z-1e15", *[f"{key}-{name}" for name in _HUGE_COUNTS.values()

@@ -1,3 +1,7 @@
+import math
+import random
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from twistcyl.geometry import (COVARIANT, CONTRAVARIANT, CylinderGeometry,
                                Metric2, PhysicsParams, TwistProfile,
                                da_costa_potential, inverse_metric,
                                metric_from_embedding_fd, metric_from_strain,
-                               second_form_from_embedding_fd,
+                               second_form_from_embedding_fd, square,
                                strain_from_twist, surface_curvatures,
                                twisted_metric, undeformed_metric)
 
@@ -322,3 +326,53 @@ def test_linear_ramp_rate_does_not_overflow():
     assert twist.f(0.0) == 0.0
     assert twist.f(0.3) == 1e308 * 0.6
     assert np.isfinite(twist.f(0.3))
+
+
+def _python_square(x):
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def test_square_rounds_as_python_float_power():
+    # random bit patterns cover every exponent, subnormals included; x**2
+    # bit for bit where it does not raise and inf where it does, with no
+    # warning, and an array gives each element's scalar bits
+    rng = random.Random(29)
+    xs = np.array([rng.getrandbits(64) for _ in range(20000)],
+                  dtype=np.uint64).view(np.float64)
+    xs = xs[np.isfinite(xs)].tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalars = np.array([square(x) for x in xs])
+        array = square(np.array(xs))
+    expected = np.array([_python_square(x) for x in xs])
+    assert np.isinf(expected).sum() > 1000
+    assert np.array_equal(scalars.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(array.view(np.int64), expected.view(np.int64))
+
+
+def test_square_of_an_int_of_any_size():
+    # an int's own square past the float range cannot convert to a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert square(-3) == 9.0
+        assert square(2**26) == 2.0**52
+        for big in (10**200, 2**1024, -10**400):
+            assert square(big) == math.inf
+        assert square(np.array([-3, 2**26])).tolist() == [9.0, 2.0**52]
+
+
+def test_huge_rate_gives_infinite_components():
+    # f**2 of a Python float raised a bare OverflowError at f = 1e200, and
+    # (1/(2R))**2 at R = 1e-160
+    geom = CylinderGeometry(1.0, 1.0)
+    g = twisted_metric(geom, 1e200)
+    assert (g.g_pp, g.g_pz, g.g_zz) == (1.0, 1e200, math.inf)
+    h = surface_curvatures(geom, 1e200).second_form
+    assert (h.g_pp, h.g_pz, h.g_zz) == (-1.0, -1e200, -math.inf)
+    eps = strain_from_twist(geom, 1e200)
+    assert (eps.g_pp, eps.g_pz, eps.g_zz) == (0.0, 5e199, math.inf)
+    tiny = surface_curvatures(CylinderGeometry(1e-160, 1.0), 0.0)
+    assert da_costa_potential(tiny, PhysicsParams()) == -math.inf

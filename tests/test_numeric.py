@@ -229,16 +229,18 @@ def test_fd_nan_twist_is_eigensolver_failure():
         fd_eigenpairs(1, GEOM, twist, PHYS, 2)
 
 
-@pytest.mark.parametrize("geom", [CylinderGeometry(1.0, 1e-153),
-                                  CylinderGeometry(1e160, 1.0)],
-                         ids=["short-length", "huge-radius"])
-def test_fd_out_of_range_geometry_is_eigensolver_failure(geom):
+@pytest.mark.parametrize("geom,l", [
+    (CylinderGeometry(1.0, 1e-153), 1), (CylinderGeometry(1e160, 1.0), 1),
+    (CylinderGeometry(1e-160, 1.0), 1), (GEOM, 10**200), (GEOM, 10**400),
+], ids=["short-length", "huge-radius", "tiny-radius", "l-1e200", "l-1e400"])
+def test_fd_out_of_range_geometry_is_eigensolver_failure(geom, l):
     # L = 1e-153 overflows the differentiation matrix squared, which raised
-    # a RuntimeWarning under -W error; at R = 1e160, R**2 raised a bare
-    # OverflowError
+    # a RuntimeWarning under -W error; at R = 1e160, R**2, at R = 1e-160 the
+    # mean curvature squared, at l = 1e200 l**2 and at l = 1e400 1j * l
+    # raised a bare OverflowError
     for oracle in (fd_bound_spectrum, fd_eigenpairs):
         with pytest.raises(EigensolverFailure, match="not finite"):
-            oracle(1, geom, TwistProfile.constant(0.0), PHYS, 1)
+            oracle(l, geom, TwistProfile.constant(0.0), PHYS, 1)
 
 
 def test_fd_spectrum_at_a_huge_length():
@@ -428,6 +430,13 @@ def test_ode_oracle_refuses_an_unresolved_rate_peak():
     # 2^32 steps of the sine twist would run for about an hour
     (1.0, 1e6, sine_twist(0.4), 1, "exceed the cap of 2\\^22"),
     (1e160, 1.0, 0.5, 1, "strain not finite"),
+    # the mean curvature squared, l**2 and 1j * l raised a bare OverflowError
+    pytest.param(1e-160, 1.0, 0.5, 1, "step count not finite",
+                 id="tiny-radius"),
+    pytest.param(1.0, 1.0, 0.5, 10**200, "step count not finite",
+                 id="l-1e200"),
+    pytest.param(1.0, 1.0, 0.5, 10**400, "step count not finite",
+                 id="l-1e400"),
 ])
 def test_ode_oracle_guards(radius, length, alpha, l, match):
     scenario = ScatteringScenario.free(CylinderGeometry(radius, length),

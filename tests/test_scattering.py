@@ -614,6 +614,21 @@ def test_extreme_regimes_stay_unitary(kind, radius, length, l):
                   <= 1e-12)
 
 
+@pytest.mark.parametrize("radius,l", [(1.0, 10**200), (1e-162, 1)],
+                         ids=["l-1e200", "radius-1e-162"])
+def test_infinite_v_star_flags_every_row(radius, l):
+    # l^2 overflows, or R^2 underflows to 0: V* = +inf, where the int l^2
+    # and the float division raised. No embedded channel opens, and the
+    # free section's solve is not finite at any energy
+    geom = CylinderGeometry(radius, 1.0)
+    energies = np.array([0.5, 1.0, 3.0])
+    assert embedded(l=l, geom=geom).inside_threshold == np.inf
+    sweep = transmission_sweep(embedded(0.5, l, geom), energies)
+    assert np.all(sweep.flag == FLAG_SUB_THRESHOLD)
+    sweep = transmission_sweep(free(0.5, l, geom), energies)
+    assert np.all(sweep.flag == FLAG_DEGENERATE)
+
+
 @st.composite
 def extreme_cases(draw):
     """Both scenarios, |l| <= 3, R and L log-uniform over 1e+-150. The
