@@ -564,7 +564,7 @@ def main(argv=None) -> int:
     except TwistCylError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:  # float overflow or division by zero
+    except ArithmeticError as exc:  # a float-range refusal naming its quantity
         print(f"error: numerics: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -41,14 +41,22 @@ _FD_STEP = 1e-5
 _FD_STEP2 = 1e-4
 
 
+def _real(x) -> float:
+    """The float of a float or an int of any size; +-inf past the range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def square(x):
     """x^2 of a float, an int of any size or an array, rounded by libm's
     ``pow`` as Python's float ``x**2`` is, so an array gives each element's
     scalar bits (its own ``**`` is a product, an ulp off now and then); inf
-    past the float range, where ``**`` raises, and no warning."""
+    past the float range, where ``float`` or ``**`` raises, and no warning."""
     if isinstance(x, (float, int)):  # numpy's call costs about 4 us a scalar
         try:
-            return float(x)**2
+            return _real(x)**2
         except OverflowError:
             return math.inf
     with np.errstate(over="ignore"):
@@ -162,6 +170,11 @@ class Metric2:
     def det(self) -> float:
         return _sym_det2(self.g_pp, self.g_pz, self.g_zz)
 
+    @property
+    def det_scale(self):
+        """|g_pp g_zz| + g_pz^2, of which ``det`` keeps about eps."""
+        return abs(self.g_pp * self.g_zz) + square(self.g_pz)
+
     def contract(self, other: "Metric2") -> np.ndarray:
         """Mixed-index product g_ik h^kj (or the reverse); variances must differ."""
         if self.variance == other.variance:
@@ -238,11 +251,12 @@ def twisted_metric(geom: CylinderGeometry, f_value: float) -> Metric2:
 
 
 def inverse_metric(g: Metric2) -> Metric2:
-    """Contravariant inverse of a covariant 2x2 metric, point by point."""
+    """Contravariant inverse of a covariant 2x2 metric, point by point;
+    SingularMetric where det is not above 1e-12 det_scale, or is NaN."""
     if g.variance != COVARIANT:
         raise ValueError("inverse_metric expects a covariant metric")
     det = g.det
-    singular = det <= _DET_RTOL * (abs(g.g_pp * g.g_zz) + g.g_pz**2)
+    singular = np.logical_not(det > _DET_RTOL * g.det_scale)
     if np.any(singular):
         bad = np.asarray(det)[singular].flat[0]
         raise SingularMetric(f"metric determinant {bad:.3e} below tolerance")

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import EigensolverFailure, IntegratorFailure
-from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
+from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile, _real,
                        da_costa_potential, inverse_metric, metric_from_strain,
                        square, strain_from_twist, surface_curvatures,
                        undeformed_metric)
@@ -31,24 +31,16 @@ _IMAG_RTOL = 1e-11  # largest imaginary part and metric rounding, relative
 _PHASE_PER_POINT = 0.75  # eigen-oracle: twist phase budget, rad per point
 
 
-def _real(l) -> float:
-    # +-inf where float(l) raises, so a huge l ends in the oracle's failure
-    try:
-        return float(l)
-    except OverflowError:
-        return math.inf if l > 0 else -math.inf
-
-
 def _mode_terms(geom: CylinderGeometry, f, phys: PhysicsParams, failure):
     """Metric g + 2 eps at the twist rates f, its inverse and V_dC for both
     oracles. Raises ``failure`` for a strain that is not finite or a metric
-    rounding eps max((g_pp g_zz + g_pz^2) / det g) above 1e-11 (R f above
-    about 150), which every coefficient inherits."""
+    rounding eps max(det_scale / det g) above 1e-11 (R f above about 150),
+    which every coefficient inherits."""
     strain = strain_from_twist(geom, f)
     if not np.all(np.isfinite(strain.g_zz)):
         raise failure(f"strain not finite for {geom}")
     g = metric_from_strain(undeformed_metric(geom), strain)
-    rounding = np.spacing(1.0) * np.max((g.g_pp * g.g_zz + g.g_pz**2) / g.det)
+    rounding = np.spacing(1.0) * np.max(g.det_scale / g.det)
     if rounding > _IMAG_RTOL:
         raise failure(f"metric rounding {rounding:.3e} of {geom}")
     return g, inverse_metric(g), da_costa_potential(
@@ -168,8 +160,8 @@ def fd_bound_spectrum(l: int, geom: CylinderGeometry, twist: TwistProfile,
     At 48 points that budget is 36 rad, where the lowest four modes at
     l = 3, R = 1, L = 5 hold to 4e-14; past it they drift to 3e-11 at
     45 rad, 3e-7 at 60 and 18% at 90. At 96 points 72 rad holds to 2e-14.
-    Last, a metric whose rounding eps (g_pp g_zz + g_pz^2) / det g, which the
-    spectrum inherits, exceeds 1e-11 (R f above about 150) raises too.
+    Last, a metric whose rounding eps det_scale / det g, which the spectrum
+    inherits, exceeds 1e-11 (R f above about 150) raises too.
     """
     _check_points(points, count)
     op, _ = _mode_operator(l, geom, twist, phys, points)

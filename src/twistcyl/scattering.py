@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPropagatingChannel, ThresholdDegeneracy
-from .geometry import CylinderGeometry, PhysicsParams, TwistProfile
+from .geometry import (CylinderGeometry, PhysicsParams, TwistProfile, _real,
+                       square)
 from .spectrum import (_PHASE_LIMIT, ModeNumbers, gauge_potential_star,
                        twist_phase)
 
@@ -150,11 +151,12 @@ def probability_current(z_val: complex, z_deriv: complex, l: int, f: float,
 
     j = (i hbar / 2m)(Z conj(Z)' - conj(Z) Z') - (hbar/m) l f |Z|^2, f the
     local twist rate theta'; the second term is the twist contribution and
-    forces the modified derivative conditions at the interfaces.
+    forces the modified derivative conditions at the interfaces. An l or a
+    |Z|^2 past the float range reads inf, so j is then +-inf or NaN.
     """
     standard = (1j * phys.hbar / (2.0 * phys.mass)
                 * (z_val * np.conj(z_deriv) - np.conj(z_val) * z_deriv))
-    twist_term = (phys.hbar / phys.mass) * l * f * abs(z_val)**2
+    twist_term = (phys.hbar / phys.mass) * _real(l) * f * square(abs(z_val))
     return float(standard.real - twist_term)
 
 

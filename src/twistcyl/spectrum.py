@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (_TINY, CylinderGeometry, PhysicsParams, TwistProfile,
-                       square)
+                       _real, square)
 
 # from this phase on one ulp of it is a whole radian
 _PHASE_LIMIT = 2.0**52
@@ -36,8 +36,12 @@ class ModeNumbers:
 
 @np.errstate(all="ignore")
 def _v_star(l, radius: float, t: float):
-    # numpy divides: R^2 underflowed to 0 gives +-inf, not ZeroDivisionError
-    return t * (square(l) - 0.25) / np.float64(square(radius))
+    # numpy divides: R^2 underflowed to 0 gives +-inf, not ZeroDivisionError;
+    # where t (l^2 - 1/4) and R^2 both overflow, (l -+ 1/2) / R keep V* finite
+    x = _real(l) if np.ndim(l) == 0 else l
+    star = t * (square(x) - 0.25) / np.float64(square(radius))
+    return np.where(np.isnan(star),
+                    t * ((x - 0.5) / radius) * ((x + 0.5) / radius), star)
 
 
 def gauge_potential_star(mode: ModeNumbers, geom: CylinderGeometry,
@@ -47,9 +51,10 @@ def gauge_potential_star(mode: ModeNumbers, geom: CylinderGeometry,
 
     V* is also the energy floor of mode l: below it solutions are sinh-type
     and cannot satisfy both hard-wall conditions, so any correct spectrum
-    lies strictly above it. It is +-inf where l^2 overflows or R^2
-    underflows to 0, which leaves every sweep row degenerate (sub_threshold
-    if embedded), and 0 where R^2 overflows (4e-321 at R = 1e160, l = 1).
+    lies strictly above it. It is +-inf where l^2 alone overflows (or
+    |l| >= 2^1024) or R^2 underflows to 0, which leaves every sweep row
+    degenerate (sub_threshold if embedded), and 0 where R^2 alone overflows
+    (4e-321 at R = 1e160, l = 1); 0.5 at R = 1e200, l = 10^200.
     """
     return float(_v_star(mode.l, geom.radius, phys.hbar2_over_2m))
 
@@ -114,10 +119,10 @@ def twist_phase(twist: TwistProfile, l: int, z):
     every profile with theta(0) = 0, and it needs no quadrature. It is 0 at
     l = 0, even where theta overflows. Raises FloatingPointError where the
     phase is not finite or reaches 2^52 rad, since e^{i l theta} then keeps
-    no digit.
+    no digit; an |l| of 2^1024 or more reads as +-inf, so it raises too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = l * twist.theta(z) if l else 0.0 * np.asarray(z, dtype=float)
+        phase = _real(l) * twist.theta(z) if l else 0.0 * np.asarray(z, float)
     bad = ~(np.abs(phase) < _PHASE_LIMIT)  # NaN is bad too
     if np.any(bad):
         raise FloatingPointError(
@@ -160,10 +165,10 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
     phase that ``twist_phase`` cannot resolve raises FloatingPointError, and
     so does an azimuthal phase |l phi| that reaches 2^52 rad on the grid,
     and so does n >= 2^52, where the half-wavelength L / n has shrunk to the
-    float spacing of z near L, and so does a density scale 1/(pi R L) below
-    the smallest normal float, and so do values or a density that are not
-    finite, as when R L underflows. A grid of more points than numpy can
-    hold raises MemoryError.
+    float spacing of z near L, and so does pi R L outside [2^-1022, 2^1022].
+    Inside that range the density scale 1/(pi R L) is a normal float,
+    |psi| <= 2^511 and |psi|^2 is finite. A grid of more points than numpy
+    can hold raises MemoryError.
 
     On the grid z_j = j L / m, m = n_z - 1, the sine is sin(n pi j / m) with
     n j reduced modulo 2 m and then folded to an argument of at most pi / 2
@@ -177,12 +182,11 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
         raise FloatingPointError(
             f"mode n = {mode.n} is not below 2^52: the half-wavelength L / n "
             "is no wider than the float spacing of z")
-    # pi R L overflows to inf, or its inverse, the density scale, is subnormal
-    if np.pi * geom.radius * geom.length > 1.0 / _TINY:
+    scale = np.pi * geom.radius * geom.length
+    if not _TINY <= scale <= 1.0 / _TINY:
         raise FloatingPointError(
-            f"wavefunction of R = {geom.radius}, L = {geom.length}: the "
-            "normalisation's density 1/(pi R L) is below the smallest normal "
-            "float")
+            f"wavefunction of R = {geom.radius}, L = {geom.length}: pi R L = "
+            f"{scale} is outside [2^-1022, 2^1022], the normalisation's range")
     phi = even_grid(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     z = even_grid(0.0, geom.length, n_z)
     # compared before any float product, which a huge l would overflow
@@ -198,18 +202,10 @@ def bound_wavefunction(mode: ModeNumbers, geom: CylinderGeometry,
     # the folded argument is at most pi / 2 and exactly 0 at a node
     folded = np.minimum(turns % m, m - turns % m)
     sine = np.where(turns < m, 1.0, -1.0) * np.sin(np.pi * folded / m)
-    with np.errstate(all="ignore"):  # R L may underflow: refused below
-        amp = sine / np.sqrt(np.pi * geom.radius * geom.length)
-        longitudinal = amp * np.exp(1j * phase)
-        values = np.exp(1j * mode.l * phi)[:, None] * longitudinal[None, :]
-        sample = WavefunctionSample(phi=phi, z=z, values=values,
-                                    norm_weight=geom.radius)
-        finite = np.all(np.isfinite(values) & np.isfinite(sample.density()))
-    if not finite:
-        raise FloatingPointError(
-            f"wavefunction of R = {geom.radius}, L = {geom.length} is not "
-            "finite: the normalisation (pi R L)^(-1/2) or its square overflows")
-    return sample
+    longitudinal = sine / np.sqrt(scale) * np.exp(1j * phase)
+    values = np.exp(1j * mode.l * phi)[:, None] * longitudinal[None, :]
+    return WavefunctionSample(phi=phi, z=z, values=values,
+                              norm_weight=geom.radius)
 
 
 def list_bound_states(

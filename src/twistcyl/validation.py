@@ -53,7 +53,7 @@ def _draws(seed, r_max, f_max):
 
 def _metric_det(r, f):
     g = twisted_metric(CylinderGeometry(r, 1.0), f)
-    return abs(g.det - r * r) / (abs(g.g_pp * g.g_zz) + g.g_pz**2)
+    return abs(g.det - r * r) / g.det_scale
 
 
 def _inverse(r, f):

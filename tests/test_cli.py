@@ -10,6 +10,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -1118,6 +1119,14 @@ _HUGE_COUNTS = {2**62: "2^62", 2**63 - 1: "2^63-1", 10**20: "1e20"}
     ("scatter-free", _scatter_config(1e160, 1.0, 1, 0.5, 3.0, 3), 0),
     ("scatter-embedded", _scatter_config(1e160, 1.0, 1, 0.5, 3.0, 3), 0),
     ("scatter-free", SCATTER.replace("radius = 1.0", "radius = 1e200"), 0),
+    # l^2 and R^2 both overflow: V* read NaN, now t (l / R)^2 = 0.5, so
+    # ok rows with T = 1 where every row was degenerate
+    ("scatter-embedded", _scatter_config(1e200, 1.0, 10**200, 0.75, 3.0, 3),
+     0),
+    # pi R L = 9.4e-309 is subnormal: refused, where the sample printed
+    ("wavefunction", _wavefunction_config("alpha = 0", 0).replace(
+        "radius = 1.0", "radius = 1e-154").replace(
+        "length = 2", "length = 3e-155"), 2),
     # t = hbar^2/2m inf or zero: every row was nan,nan,degenerate at exit 0
     *[("scatter-free", _scatter_config(1.0, 1.0, 1, 0.5, 3.0, 3)
        + f"\n[physics]\n{key}\n", 1)
@@ -1134,6 +1143,7 @@ _HUGE_COUNTS = {2**62: "2^62", 2**63 - 1: "2^63-1", 10**20: "1e20"}
         "n-max-2^63-1-l-max-0", "spectrum-r-l-1e170",
         "wavefunction-r-l-1e200", "hbar-1e200", "scatter-free-r-1e160",
         "scatter-embedded-r-1e160", "scatter-free-radius-1e200",
+        "scatter-embedded-r-l-1e200", "wavefunction-subnormal-pi-r-l",
         "mass-1e-320", "hbar-1e-200", "wavefunction-l-1e29"])
 def test_extreme_input_ends_finite_or_typed(tmp_path, capsys, command, text,
                                             code):
@@ -1531,11 +1541,24 @@ n_z = 9
 """ + sweep
 
 
+def _exact_energy(config, n: int, l: int):
+    """t (n pi / L)^2 + t (l^2 - 1/4) / R^2 at 40 digits from the parsed
+    floats, and one unit of its 12th significant digit, the last printed."""
+    with mpmath.workdps(40):
+        phys, geom = config.physics, config.geometry
+        t = mpmath.mpf(phys.hbar)**2 / (2 * mpmath.mpf(phys.mass))
+        energy = t * ((n * mpmath.pi / mpmath.mpf(geom.length))**2
+                      + (mpmath.mpf(l)**2 - 0.25) / mpmath.mpf(geom.radius)**2)
+        return energy, mpmath.mpf(10)**(
+            mpmath.floor(mpmath.log10(abs(energy))) - 11)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(extreme_runs())
 def test_every_artifact_command_ends_finite_or_typed(tmp_path_factory, run):
     # exit 0 with an empty stderr and finite rows whose flags mean what they
-    # say, or exit 1 (config) or 2 (numerics) with one error line
+    # say, or exit 1 (config) or 2 (numerics) with one error line; a spectrum
+    # energy agrees with the 40-digit closed form to its last printed digit
     command, text = run
     cfg = tmp_path_factory.mktemp("run") / "run.ini"
     cfg.write_text(text)
@@ -1551,9 +1574,13 @@ def test_every_artifact_command_ends_finite_or_typed(tmp_path_factory, run):
     assert err.getvalue() == ""
     rows = [line.split(",") for line in out.getvalue().splitlines()[3:]]
     assert rows
+    config = parse_config(text)
     for row in rows:
         if command in ("spectrum", "wavefunction"):
             assert np.all(np.isfinite([float(cell) for cell in row])), row
+            if command == "spectrum":
+                energy, unit = _exact_energy(config, int(row[0]), int(row[1]))
+                assert abs(mpmath.mpf(row[2]) - energy) <= unit, row
             continue
         assert np.isfinite(float(row[0])), row
         for trans, refl, flag in zip(row[1::3], row[2::3], row[3::3]):

@@ -7,7 +7,7 @@ import pytest
 
 from twistcyl.errors import SingularMetric
 from twistcyl.geometry import (COVARIANT, CONTRAVARIANT, CylinderGeometry,
-                               Metric2, PhysicsParams, TwistProfile,
+                               Metric2, PhysicsParams, TwistProfile, _real,
                                da_costa_potential, inverse_metric,
                                metric_from_embedding_fd, metric_from_strain,
                                second_form_from_embedding_fd, square,
@@ -195,6 +195,24 @@ def test_inverse_metric_rejects_a_singular_node():
         inverse_metric(g)
 
 
+def test_inverse_metric_refuses_an_overflowed_or_nan_determinant():
+    # g_zz = 1 + 1e320 overflows, so det is NaN: g_pz**2 raised a bare
+    # OverflowError there, and a NaN det passed the singular test and gave a
+    # NaN inverse
+    with pytest.raises(SingularMetric, match="nan"):
+        inverse_metric(twisted_metric(CylinderGeometry(1.0, 1.0), 1e160))
+    with pytest.raises(SingularMetric, match="nan"):
+        inverse_metric(Metric2(math.nan, 0.0, 1.0, COVARIANT))
+
+
+def test_det_scale_is_the_size_of_the_determinants_products():
+    assert Metric2(-2.0, 3.0, 5.0, COVARIANT).det_scale == 19.0
+    # past the float range it reads inf, with no warning
+    assert Metric2(1.0, 1e200, 1.0, COVARIANT).det_scale == math.inf
+    g = Metric2(np.ones(2), np.array([1e200, 2.0]), np.ones(2), COVARIANT)
+    assert g.det_scale.tolist() == [math.inf, 5.0]
+
+
 def test_inverse_metric_rejects_contravariant():
     with pytest.raises(ValueError):
         inverse_metric(Metric2(1.0, 0.0, 1.0, CONTRAVARIANT))
@@ -362,6 +380,13 @@ def test_square_of_an_int_of_any_size():
         for big in (10**200, 2**1024, -10**400):
             assert square(big) == math.inf
         assert square(np.array([-3, 2**26])).tolist() == [9.0, 2.0**52]
+
+
+def test_real_reads_an_int_past_the_float_range_as_inf():
+    assert _real(10**200) == 1e200
+    assert type(_real(3)) is float and _real(3) == 3.0
+    assert _real(2.5) == 2.5
+    assert (_real(10**400), _real(-10**400)) == (math.inf, -math.inf)
 
 
 def test_huge_rate_gives_infinite_components():

@@ -156,6 +156,13 @@ def test_probability_current_plane_wave():
     assert j == pytest.approx(k, abs=1e-15)
 
 
+def test_probability_current_of_a_huge_amplitude_is_infinite():
+    # |Z|^2 = 1e400 and the int l = 10^400 raised a bare OverflowError;
+    # j = -(hbar/m) l f |Z|^2
+    assert probability_current(1e200, 1.0, 1, 0.5, PHYS) == -np.inf
+    assert probability_current(1.0, 1.0, 10**400, 0.5, PHYS) == -np.inf
+
+
 def test_probability_current_standing_wave():
     j = probability_current(0.7, 0.2, 0, 0.0, PHYS)  # real Z, real Z'
     assert j == 0.0
@@ -614,12 +621,14 @@ def test_extreme_regimes_stay_unitary(kind, radius, length, l):
                   <= 1e-12)
 
 
-@pytest.mark.parametrize("radius,l", [(1.0, 10**200), (1e-162, 1)],
-                         ids=["l-1e200", "radius-1e-162"])
+@pytest.mark.parametrize("radius,l", [(1.0, 10**200), (1e-162, 1),
+                                      (1e200, -10**400)],
+                         ids=["l-1e200", "radius-1e-162", "l-1e400"])
 def test_infinite_v_star_flags_every_row(radius, l):
     # l^2 overflows, or R^2 underflows to 0: V* = +inf, where the int l^2
-    # and the float division raised. No embedded channel opens, and the
-    # free section's solve is not finite at any energy
+    # and the float division raised; |l| >= 2^1024 reads as inf even where
+    # R^2 overflows too (inf / inf read NaN). No embedded channel opens, and
+    # the free section's solve is not finite at any energy
     geom = CylinderGeometry(radius, 1.0)
     energies = np.array([0.5, 1.0, 3.0])
     assert embedded(l=l, geom=geom).inside_threshold == np.inf
@@ -627,6 +636,23 @@ def test_infinite_v_star_flags_every_row(radius, l):
     assert np.all(sweep.flag == FLAG_SUB_THRESHOLD)
     sweep = transmission_sweep(free(0.5, l, geom), energies)
     assert np.all(sweep.flag == FLAG_DEGENERATE)
+
+
+@pytest.mark.parametrize("kind", [embedded, free])
+def test_v_star_of_overflowing_squares_is_the_threshold(kind):
+    # l^2 and R^2 both overflow: V* read inf / inf = NaN and every row was
+    # degenerate; t (l / R)^2 = 0.5 is V*, and below it the embedded
+    # section opens no channel while the free one tunnels
+    scenario = kind(alpha=0.5, l=10**200, geom=CylinderGeometry(1e200, 1.0))
+    assert scenario.inside_threshold == 0.5
+    sweep = transmission_sweep(scenario, np.array([0.25, 0.75, 1.5]))
+    closed = 1 if kind is embedded else 0
+    assert sweep.flag.tolist() == ([FLAG_SUB_THRESHOLD] * closed
+                                   + [FLAG_OK] * (3 - closed))
+    for row in range(closed, 3):
+        assert_exact_row(sweep, row, scenario)
+    if kind is embedded:  # a section that matches its outside
+        assert np.all(np.abs(sweep.transmission[1:] - 1.0) <= 1e-15)
 
 
 @st.composite

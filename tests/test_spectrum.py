@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcyl.geometry import (CylinderGeometry, PhysicsParams, TwistProfile,
-                               da_costa_potential, inverse_metric,
-                               metric_from_strain, strain_from_twist,
-                               surface_curvatures, undeformed_metric)
+from twistcyl.geometry import (_TINY, CylinderGeometry, PhysicsParams,
+                               TwistProfile, da_costa_potential,
+                               inverse_metric, metric_from_strain,
+                               strain_from_twist, surface_curvatures,
+                               undeformed_metric)
 from twistcyl.spectrum import (ModeNumbers, bound_wavefunction, eigenenergy,
                                gauge_potential_star, list_bound_states,
                                twist_phase)
@@ -51,6 +52,23 @@ def test_gauge_potential_star_values(l, radius, expected):
     geom = CylinderGeometry(radius, 1.0)
     assert gauge_potential_star(ModeNumbers(l=l), geom, PHYS) == pytest.approx(
         expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("l,radius,hbar", [
+    (10**200, 1e200, 1.0), (-10**200, 3e250, 1.0), (7 * 10**180, 2e170, 1e-3),
+    (2, 1e160, 1e154), (3, 1e300, 1e154),
+], ids=["l-r-1e200", "l-1e200-r-3e250", "l-7e180", "l-2-t-5e307",
+        "l-3-r-1e300"])
+def test_v_star_is_finite_where_its_squares_overflow(l, radius, hbar):
+    # t (l^2 - 1/4) and R^2 both overflow, and read inf / inf = NaN; at
+    # l = 2, t (l / R)^2 would be 7% above V*
+    phys = PhysicsParams(hbar=hbar)
+    star = gauge_potential_star(ModeNumbers(l=l), CylinderGeometry(radius, 1.0),
+                                phys)
+    with mpmath.workdps(40):
+        exact = (mpmath.mpf(phys.hbar2_over_2m) * (mpmath.mpf(l)**2 - 0.25)
+                 / mpmath.mpf(radius)**2)
+    assert star == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 def test_gauge_potential_star_equals_untwisted_effective_potential():
@@ -125,6 +143,13 @@ def test_linear_ramp_phase_is_exact_on_wavefunction_grid(l):
     amp = bound_wavefunction(mode, GEOM, TwistProfile.constant(0.0), PHYS,
                              (8, 129)).values[0].real
     assert np.array_equal(sample.values[0], amp * np.exp(1j * phase))
+
+
+def test_twist_phase_of_an_l_past_the_float_range_is_refused():
+    # l theta(z) converted the int l and raised a bare OverflowError
+    for z in (2.0, np.array([0.0, 1.0])):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            twist_phase(TwistProfile.constant(0.5), 10**400, z)
 
 
 def test_twist_phase_profiled_matches_constant():
@@ -211,6 +236,34 @@ def test_wavefunction_normalization():
         sample = bound_wavefunction(mode, GEOM, TwistProfile.constant(0.7),
                                     PHYS, (400, 400))
         assert abs(sample.norm() - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("radius,length,n", [
+    (1e-154, 3e-155, 1), (1.4e-50, 1.5e-273, 8), (1.5e-280, 2.4e-246, 1),
+    (1e200, 1e200, 1),
+], ids=["subnormal", "subnormal-zero-sine", "zero", "inf"])
+def test_wavefunction_refuses_pi_r_l_outside_the_normal_range(radius, length,
+                                                              n):
+    # pi R L = 9.4e-309 and 6.6e-323 are subnormal, and used to print (the
+    # second as zeros, its sine vanishing on every node at n = 8, n_z = 9);
+    # pi R L = 0 and inf were refused by two other tests
+    geom = CylinderGeometry(radius, length)
+    with pytest.raises(FloatingPointError, match="2\\^-1022, 2\\^1022"):
+        bound_wavefunction(ModeNumbers(l=1, n=n), geom,
+                           TwistProfile.constant(0.5), PHYS, (4, 9))
+
+
+@pytest.mark.parametrize("scale", [2.0**-1022, 2.0**1022])
+def test_wavefunction_at_the_ends_of_the_normal_range(scale):
+    # |psi| <= 2^511 and |psi|^2 <= 2^1022 (1 + eps): finite, no warning
+    geom = CylinderGeometry(scale / np.pi, 1.0)
+    assert _TINY <= np.pi * geom.radius * geom.length <= 1.0 / _TINY
+    sample = bound_wavefunction(ModeNumbers(l=1), geom,
+                                TwistProfile.constant(0.5), PHYS, (4, 9))
+    density = sample.density()
+    assert np.all(np.isfinite(density))
+    peak = np.max(density) * np.pi * geom.radius * geom.length
+    assert peak == pytest.approx(1.0, rel=1e-14)
 
 
 def test_wavefunction_carries_twist_phase():
