@@ -172,11 +172,6 @@ def _write(config: RunConfig, text: str) -> None:
         raise ConfigError(f"cannot write output: {exc}") from None
 
 
-def _emit(config: RunConfig, schema: str, header, columns) -> None:
-    """Write equal-length columns (float, int or str arrays) as one artifact."""
-    _write(config, _render(config, schema, header, columns))
-
-
 def _energies(config: RunConfig) -> np.ndarray:
     e_min, e_max, points = config.energy_grid
     grid = even_grid(e_min, e_max, points)
@@ -514,7 +509,7 @@ def run(command: str, config: RunConfig) -> int:
             raise ConfigError(f"[{section}] with {keys} is required")
     if schema is None:
         return handler(config)
-    _emit(config, schema, *handler(config))
+    _write(config, _render(config, schema, *handler(config)))
     return 0
 
 

@@ -168,12 +168,16 @@ class Metric2:
 
     @property
     def det(self) -> float:
-        return _sym_det2(self.g_pp, self.g_pz, self.g_zz)
+        # a few eps det_scale off, as the stored g_zz = 1 + R^2 f^2 already is;
+        # past the float range, det and det_scale read inf or NaN silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.g_pp * self.g_zz - self.g_pz * self.g_pz
 
     @property
     def det_scale(self):
         """|g_pp g_zz| + g_pz^2, of which ``det`` keeps about eps."""
-        return abs(self.g_pp * self.g_zz) + square(self.g_pz)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return abs(self.g_pp * self.g_zz) + square(self.g_pz)
 
     def contract(self, other: "Metric2") -> np.ndarray:
         """Mixed-index product g_ik h^kj (or the reverse); variances must differ."""
@@ -189,26 +193,6 @@ class CurvatureData:
     second_form: Metric2
     mean: float      # 1/length
     gaussian: float  # 1/length^2
-
-
-def _two_product(x: float, y: float) -> tuple[float, float]:
-    # Dekker splitting: returns (p, e) with p + e == x*y exactly.
-    p = x * y
-    c = 134217729.0  # 2**27 + 1
-    xh = c * x - (c * x - x)
-    xl = x - xh
-    yh = c * y - (c * y - y)
-    yl = y - yh
-    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    return p, e
-
-
-def _sym_det2(a: float, b: float, d: float) -> float:
-    # a*d - b*b with compensated products, so the heavy cancellation in the
-    # twisted-metric determinant still returns R^2 to the last few ulp.
-    p1, e1 = _two_product(a, d)
-    p2, e2 = _two_product(b, b)
-    return (p1 - p2) + (e1 - e2)
 
 
 def undeformed_metric(geom: CylinderGeometry) -> Metric2:
@@ -228,7 +212,8 @@ def strain_from_twist(geom: CylinderGeometry, f) -> Metric2:
     r2 = square(geom.radius)
     # groupings match twisted_metric bit for bit, so g + 2 eps reproduces it
     # exactly: eps_pz doubles back to r2*f, eps_zz to r2*f^2
-    return Metric2(0.0, 0.5 * (r2 * f), 0.5 * (r2 * square(f)), COVARIANT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Metric2(0.0, 0.5 * (r2 * f), 0.5 * (r2 * square(f)), COVARIANT)
 
 
 def metric_from_strain(base: Metric2, strain: Metric2) -> Metric2:
@@ -245,9 +230,11 @@ def metric_from_strain(base: Metric2, strain: Metric2) -> Metric2:
 
 
 def twisted_metric(geom: CylinderGeometry, f_value: float) -> Metric2:
-    """Covariant metric of the twisted cylinder at local twist value f."""
+    """Covariant metric of the twisted cylinder at local twist value f; a
+    component past the float range reads inf or NaN, with no warning."""
     r2 = square(geom.radius)
-    return Metric2(r2, r2 * f_value, 1.0 + r2 * square(f_value), COVARIANT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Metric2(r2, r2 * f_value, 1.0 + r2 * square(f_value), COVARIANT)
 
 
 def inverse_metric(g: Metric2) -> Metric2:

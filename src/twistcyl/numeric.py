@@ -34,12 +34,15 @@ _PHASE_PER_POINT = 0.75  # eigen-oracle: twist phase budget, rad per point
 def _mode_terms(geom: CylinderGeometry, f, phys: PhysicsParams, failure):
     """Metric g + 2 eps at the twist rates f, its inverse and V_dC for both
     oracles. Raises ``failure`` for a strain that is not finite or a metric
-    rounding eps max(det_scale / det g) above 1e-11 (R f above about 150),
-    which every coefficient inherits."""
+    rounding eps max(det_scale / det g) above 1e-11 (R f above about 150;
+    from about 1e8 det g rounds to 0), which every coefficient inherits."""
     strain = strain_from_twist(geom, f)
     if not np.all(np.isfinite(strain.g_zz)):
         raise failure(f"strain not finite for {geom}")
-    g = metric_from_strain(undeformed_metric(geom), strain)
+    try:
+        g = metric_from_strain(undeformed_metric(geom), strain)
+    except ValueError as exc:
+        raise failure(f"{exc} for {geom}") from None
     rounding = np.spacing(1.0) * np.max(g.det_scale / g.det)
     if rounding > _IMAG_RTOL:
         raise failure(f"metric rounding {rounding:.3e} of {geom}")

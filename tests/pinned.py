@@ -27,14 +27,10 @@ SMALL_GRID = "\n[wavefunction]\nl = 1\nn_phi = 16\nn_z = 9\n"
 HASHES = PINS / "wavefunction.sha256"
 
 
-def _config_text() -> str:
-    return (PINS / "readme.ini").read_text(encoding="utf-8")
-
-
 def artifacts():
     """(file name, command, config text, format) of every pinned artifact;
     the two ``wavefunction.*`` files are pinned by hash."""
-    text = _config_text()
+    text = (PINS / "readme.ini").read_text(encoding="utf-8")
     for fmt in ("csv", "json"):
         for command in ("spectrum", "scatter-embedded", "scatter-free",
                         "sweep"):
@@ -46,9 +42,8 @@ def artifacts():
 
 def write(out: Path, command: str, text: str, fmt: str) -> None:
     """Write one artifact to ``out`` through the CLI's ``run``."""
-    config = replace(parse_config(text), output_path=str(out),
-                     output_format=fmt)
-    assert run(command, config) == 0
+    run(command, replace(parse_config(text), output_path=str(out),
+                         output_format=fmt))
 
 
 def sha256(path: Path) -> str:

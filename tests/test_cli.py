@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistcyl
-from twistcyl.cli import _COMMANDS, _emit, main, parse_config
+from twistcyl.cli import _COMMANDS, _render, main, parse_config
 from twistcyl.errors import ConfigError, ThresholdDegeneracy
 from twistcyl.geometry import CylinderGeometry, PhysicsParams
 from twistcyl.scattering import ScatteringScenario
@@ -1186,7 +1186,7 @@ def test_python_m_runs_the_cli(module):
 
 
 # The per-cell row renderer that the columnar one replaced, kept verbatim as
-# the byte-level reference for _emit.
+# the byte-level reference for _render.
 def _ref_fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -1287,33 +1287,28 @@ def tables(draw, copies=True):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(tables())
-def test_emit_matches_per_cell_reference(tmp_path_factory, table):
+def test_emit_matches_per_cell_reference(table):
     kinds, columns = table
     header = [f"c{i}" for i in range(len(columns))]
     arrays = _arrays(kinds, columns)
     rows = list(zip(*columns))
-    out = tmp_path_factory.mktemp("emit") / "artifact"
-    base = replace(parse_config(""), output_path=str(out))
-    _emit(replace(base, output_format="csv"), "test-v1", header, arrays)
-    assert out.read_bytes() == _ref_render_csv(
-        "test-v1", base.config_sha256, header, rows).encode("utf-8")
-    _emit(replace(base, output_format="json"), "test-v1", header, arrays)
-    assert out.read_bytes() == _ref_render_json(
-        "test-v1", base.config_sha256, header, rows,
-        base.echo).encode("utf-8")
+    base = parse_config("")
+    assert _render(replace(base, output_format="csv"), "test-v1", header,
+                   arrays) == _ref_render_csv("test-v1", base.config_sha256,
+                                              header, rows)
+    assert _render(replace(base, output_format="json"), "test-v1", header,
+                   arrays) == _ref_render_json("test-v1", base.config_sha256,
+                                               header, rows, base.echo)
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
-def test_one_row_of_one_empty_cell_is_a_row(tmp_path, output_format):
+def test_one_row_of_one_empty_cell_is_a_row(output_format):
     # the row count decides whether rows follow the header, not the text:
     # one CSV row of one "" cell is an empty line (the property above draws
     # that table too rarely to pin it)
-    out = tmp_path / "artifact"
-    config = replace(parse_config(""), output_path=str(out),
-                     output_format=output_format)
-    _emit(config, "test-v1", ["a"], [np.array([""])])
+    config = replace(parse_config(""), output_format=output_format)
     rows, sha = [("",)], config.config_sha256
-    assert out.read_text() == (
+    assert _render(config, "test-v1", ["a"], [np.array([""])]) == (
         _ref_render_csv("test-v1", sha, ["a"], rows) if output_format == "csv"
         else _ref_render_json("test-v1", sha, ["a"], rows, config.echo))
 
@@ -1340,16 +1335,13 @@ def labelled_tables(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(labelled_tables())
-def test_emit_json_matches_reference_for_any_labels(tmp_path_factory, table):
+def test_emit_json_matches_reference_for_any_labels(table):
     kinds, header, columns = table
     arrays = _arrays(kinds, columns)
-    out = tmp_path_factory.mktemp("emit") / "artifact.json"
-    config = replace(parse_config(""), output_path=str(out),
-                     output_format="json")
-    _emit(config, "test-v1", header, arrays)
-    assert out.read_bytes() == _ref_render_json(
+    config = replace(parse_config(""), output_format="json")
+    assert _render(config, "test-v1", header, arrays) == _ref_render_json(
         "test-v1", config.config_sha256, header, list(zip(*columns)),
-        config.echo).encode("utf-8")
+        config.echo)
 
 
 def test_json_document_peak_is_bounded_by_the_text():

@@ -205,6 +205,32 @@ def test_inverse_metric_refuses_an_overflowed_or_nan_determinant():
         inverse_metric(Metric2(math.nan, 0.0, 1.0, COVARIANT))
 
 
+@pytest.mark.parametrize("radius,f", [
+    (1.0, np.array([1e160, 1.0])), (1e100, np.array([1.0, 2.0])),
+    (1e100, 1.0),
+])
+def test_inverse_metric_of_an_overflowed_metric_is_singular(radius, f):
+    # the products of det and det_scale overflow (inf - inf at f = 1e160):
+    # on an array that raised a bare RuntimeWarning under -W error
+    g = twisted_metric(CylinderGeometry(radius, 1.0), f)
+    with pytest.raises(SingularMetric, match="nan"):
+        inverse_metric(g)
+
+
+@pytest.mark.parametrize("build", [twisted_metric, strain_from_twist])
+def test_overflowed_radius_squared_reads_alike_on_scalar_and_array(build):
+    # R^2 = inf times f = 0 is NaN: an array raised a bare RuntimeWarning
+    # under -W error where the float gave NaN with no warning
+    geom = CylinderGeometry(1e155, 1.0)
+    scalar, array = build(geom, 0.0), build(geom, np.array([0.0, 1.0]))
+    for name in ("g_pp", "g_pz", "g_zz"):  # NaN matches NaN here
+        np.testing.assert_array_equal(getattr(array, name), [
+            getattr(scalar, name), getattr(build(geom, 1.0), name)])
+    for g in (scalar, array):
+        with pytest.raises(SingularMetric):
+            inverse_metric(g)
+
+
 def test_det_scale_is_the_size_of_the_determinants_products():
     assert Metric2(-2.0, 3.0, 5.0, COVARIANT).det_scale == 19.0
     # past the float range it reads inf, with no warning

@@ -447,6 +447,18 @@ def test_ode_oracle_guards(radius, length, alpha, l, match):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("profile", ["constant", "linear_ramp"])
+@pytest.mark.parametrize("alpha", [1e8, 3e8, 1e20])
+def test_oracles_refuse_a_metric_rounded_to_singular(alpha, profile):
+    # g_zz = 1 + R^2 f^2 rounds to R^2 f^2, so det g reads 0 or less:
+    # metric_from_strain's bare ValueError escaped both oracles
+    twist = getattr(TwistProfile, profile)(alpha)
+    with pytest.raises(EigensolverFailure, match="not positive definite"):
+        fd_bound_spectrum(1, GEOM, twist, PHYS, 2)
+    with pytest.raises(IntegratorFailure, match="not positive definite"):
+        ode_transmission_oracle(2.0, ScatteringScenario.free(GEOM, twist, 1))
+
+
 def test_ode_oracle_holds_log_t_at_large_l_alpha():
     # R f = 93 stays below the metric-rounding refusal; integrating (Z, Z')
     # instead of (Z, w) loses 4.7e-9 here, recombining w from Z' at z = 0
