@@ -522,15 +522,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="twistcyl",
                      description="Bound states and scattering on twisted "
                                  "cylindrical surfaces.")
-    sub = parser.add_subparsers(dest="command")
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None,
-                         help="path to the run configuration")
-        cmd.add_argument("--out", default=None,
-                         help="output path (default: stdout)")
-        cmd.add_argument("--format", choices=_SCHEMA["output", "format"][0],
-                         default=None)
+    parser.add_argument("command", nargs="?", choices=tuple(_COMMANDS))
+    parser.add_argument("--config", default=None,
+                        help="path to the run configuration")
+    parser.add_argument("--out", default=None,
+                        help="output path (default: stdout)")
+    parser.add_argument("--format", choices=_SCHEMA["output", "format"][0],
+                        default=None)
     return parser
 
 

@@ -216,7 +216,8 @@ def solve_scattering(energy: float, scenario: ScatteringScenario) -> ScatteringS
                              np.array([0.0, scenario.geom.length]))
     return ScatteringSolution(
         r=r_amp, t=t_amp * complex(np.exp(1j * (end - start))), A=a_amp,
-        B=b_amp, transmission=abs(t_amp)**2, reflection=abs(r_amp)**2)
+        B=b_amp, transmission=square(abs(t_amp)),
+        reflection=square(abs(r_amp)))
 
 
 def transmission_sweep(scenario: ScatteringScenario,

@@ -1,5 +1,5 @@
-"""Pinned artifacts of the README example config, and the script that
-regenerates them.
+"""Pinned artifacts of the README example config and of three bench cases,
+and the script that regenerates them.
 
 ``pins/readme.ini`` is the README's example config without its ``path``
 line. Its ``spectrum``, ``scatter-embedded``, ``scatter-free`` and ``sweep``
@@ -8,6 +8,12 @@ artifacts are pinned as text in CSV and JSON, and so is a reduced
 of l = 1 on 16 x 9 points). The ``wavefunction`` of the default 256 x 256
 grid, 4 MB of CSV and 11 MB of JSON, is pinned by its SHA-256 in
 ``pins/wavefunction.sha256``, in ``sha256sum`` format.
+
+``pins/bench-<workload>.ini`` is the config that ``bench/workloads.py``
+builds for ``make(1, tiny=True)`` of the ``sweep-free``,
+``scatter-embedded-json`` and ``wavefunction-csv`` workloads, copied as text
+so that the tests import no bench code; each one's artifact is pinned as
+``bench-<workload>.<format>``.
 
 After a change that moves printed digits on purpose, rewrite every pin with
 
@@ -25,6 +31,10 @@ from twistcyl.cli import parse_config, run
 PINS = Path(__file__).parent / "pins"
 SMALL_GRID = "\n[wavefunction]\nl = 1\nn_phi = 16\nn_z = 9\n"
 HASHES = PINS / "wavefunction.sha256"
+# (workload, command, format) of each pinned bench case
+BENCH_CASES = (("sweep-free", "sweep", "csv"),
+               ("scatter-embedded-json", "scatter-embedded", "json"),
+               ("wavefunction-csv", "wavefunction", "csv"))
 
 
 def artifacts():
@@ -38,6 +48,9 @@ def artifacts():
         yield (f"wavefunction-16x9.{fmt}", "wavefunction", text + SMALL_GRID,
                fmt)
         yield f"wavefunction.{fmt}", "wavefunction", text, fmt
+    for workload, command, fmt in BENCH_CASES:
+        bench = (PINS / f"bench-{workload}.ini").read_text(encoding="utf-8")
+        yield f"bench-{workload}.{fmt}", command, bench, fmt
 
 
 def write(out: Path, command: str, text: str, fmt: str) -> None:

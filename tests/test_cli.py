@@ -753,14 +753,34 @@ def test_missing_config_is_config_error():
 
 
 def test_unknown_command_is_config_error(capsys):
-    assert main(["transmogrify"]) == 1
-    capsys.readouterr()
+    assert main(["nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _single_line(captured.err, "error: config: argument command: invalid "
+                 "choice: 'nope' ")
     assert main([]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: config: no command given\n"
     with pytest.raises(ConfigError, match="unknown command 'nope'"):
         twistcyl.cli.run("nope", parse_config(MINIMAL))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert "{" + ",".join(_COMMANDS) + "}" in capsys.readouterr().out
+
+
+def test_options_go_before_or_after_the_command(tmp_path, capsys):
+    cfg = write(tmp_path, "run.ini", MINIMAL)
+    assert main(["--config", cfg, "spectrum"]) == 0
+    before = capsys.readouterr().out
+    assert main(["spectrum", "--config", cfg]) == 0
+    assert capsys.readouterr().out == before
+    assert before.startswith("# schema: twistcyl-spectrum-v1\n")
 
 
 def test_library_error_is_numerics_exit(tmp_path, capsys, monkeypatch):

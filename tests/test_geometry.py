@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -372,17 +373,19 @@ def test_linear_ramp_rate_does_not_overflow():
     assert np.isfinite(twist.f(0.3))
 
 
-def _python_square(x):
+def _exact_square(x):
+    """x^2 computed exactly in rationals and rounded once; inf past the
+    float range, where ``float`` of the rational raises."""
     try:
-        return x**2
+        return float(Fraction(x) ** 2)
     except OverflowError:
         return math.inf
 
 
-def test_square_rounds_as_python_float_power():
-    # random bit patterns cover every exponent, subnormals included; x**2
-    # bit for bit where it does not raise and inf where it does, with no
-    # warning, and an array gives each element's scalar bits
+def test_square_is_the_correctly_rounded_square():
+    # random bit patterns cover every exponent, subnormals included; the
+    # exact square rounded to nearest, bit for bit, and inf past the range,
+    # with no warning, for a scalar and for each element of an array
     rng = random.Random(29)
     xs = np.array([rng.getrandbits(64) for _ in range(20000)],
                   dtype=np.uint64).view(np.float64)
@@ -391,7 +394,7 @@ def test_square_rounds_as_python_float_power():
         warnings.simplefilter("error")
         scalars = np.array([square(x) for x in xs])
         array = square(np.array(xs))
-    expected = np.array([_python_square(x) for x in xs])
+    expected = np.array([_exact_square(x) for x in xs])
     assert np.isinf(expected).sum() > 1000
     assert np.array_equal(scalars.view(np.int64), expected.view(np.int64))
     assert np.array_equal(array.view(np.int64), expected.view(np.int64))
@@ -427,3 +430,15 @@ def test_huge_rate_gives_infinite_components():
     assert (eps.g_pp, eps.g_pz, eps.g_zz) == (0.0, 5e199, math.inf)
     tiny = surface_curvatures(CylinderGeometry(1e-160, 1.0), 0.0)
     assert da_costa_potential(tiny, PhysicsParams()) == -math.inf
+
+
+def test_overflowed_second_form_reads_alike_on_scalar_and_array():
+    # -R f past the float range: an array raised a bare RuntimeWarning under
+    # -W error where a float rate gave -inf with no warning
+    geom = CylinderGeometry(1e200, 1.0)
+    array = surface_curvatures(geom, np.array([1e200, 1.0])).second_form
+    scalars = [surface_curvatures(geom, f).second_form for f in (1e200, 1.0)]
+    for name in ("g_pz", "g_zz"):
+        np.testing.assert_array_equal(
+            getattr(array, name), [getattr(h, name) for h in scalars])
+    assert array.g_zz.tolist() == [-math.inf, -1e200]

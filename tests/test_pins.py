@@ -1,4 +1,4 @@
-"""Every pinned artifact of the README config regenerates byte for byte.
+"""Every pinned artifact regenerates byte for byte.
 
 The pins and the command that rewrites them are described in ``pinned.py``.
 """

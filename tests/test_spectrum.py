@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from twistcyl.geometry import (_TINY, CylinderGeometry, PhysicsParams,
                                TwistProfile, da_costa_potential,
-                               inverse_metric, metric_from_strain,
+                               inverse_metric, metric_from_strain, square,
                                strain_from_twist, surface_curvatures,
                                undeformed_metric)
 from twistcyl.spectrum import (ModeNumbers, bound_wavefunction, eigenenergy,
@@ -309,8 +309,7 @@ def test_table_is_the_sorted_per_mode_energies(log_r, log_l, log_hbar, n_max,
                                                l_max):
     # the vectorised table against eigenenergy one mode at a time, bit for
     # bit, in the (energy, n, |l|, l < 0) order; a refused term refuses both.
-    # eigenenergy keeps the bits of Python's scalar ** (libm pow), which a
-    # numpy array's ** 2, a plain product, missed by one ulp now and then.
+    # Both square through geometry.square, the correctly rounded product.
     geom = CylinderGeometry(10.0**log_r, 10.0**log_l)
     phys = PhysicsParams(hbar=10.0**log_hbar)
     t = phys.hbar2_over_2m
@@ -324,7 +323,7 @@ def test_table_is_the_sorted_per_mode_energies(log_r, log_l, log_hbar, n_max,
             list_bound_states(geom, phys, n_max, l_max)
         return
     for energy, n, _, _, l in expected:
-        assert energy == (t * (n * np.pi / geom.length)**2
+        assert energy == (t * square(n * np.pi / geom.length)
                           + gauge_potential_star(ModeNumbers(l), geom, phys))
     n, l, energy = list_bound_states(geom, phys, n_max, l_max)
     assert n.tolist() == [row[1] for row in expected]
