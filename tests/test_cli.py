@@ -794,8 +794,8 @@ def test_library_error_is_numerics_exit(tmp_path, capsys, monkeypatch):
 
 
 def test_command_from_run_section(tmp_path, capsys):
-    # the subcommand is the only command; a [run] section is refused, so a
-    # document asking for a sweep cannot silently print a spectrum
+    # only the command line names the command; a [run] section is refused,
+    # so a document asking for a sweep cannot silently print a spectrum
     text = "[run]\ncommand = sweep\n" + MINIMAL
     with pytest.raises(ConfigError) as info:
         parse_config(text)
